@@ -79,8 +79,8 @@
 //	-share-window D  batching window in simulated time (default: the gamma
 //	                 default, 5ms)
 //
-// Sharing rides the legacy scheduler, so -share is mutually exclusive with
-// every fault flag and with -open.
+// -share is its own campaign mode, so it is mutually exclusive with every
+// fault flag and with -open.
 //
 // Elastic membership (DESIGN.md §13): serve an open arrival process while
 // the membership controller joins a standby node and decommissions a member
@@ -300,7 +300,7 @@ func run() int {
 		opts.ArmFaults(spec, true)
 	}
 	if *share && (spec.Enabled() || *faultsKs != "" || *open) {
-		return fail(fmt.Errorf("-share is mutually exclusive with fault flags and -open (sharing rides the legacy scheduler)"))
+		return fail(fmt.Errorf("-share is mutually exclusive with fault flags and -open (one campaign mode per run)"))
 	}
 	if *elastic && (*open || *share || *faultsKs != "") {
 		return fail(fmt.Errorf("-elastic is mutually exclusive with -open, -share and -faults (one campaign mode per run)"))

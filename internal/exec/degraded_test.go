@@ -100,7 +100,7 @@ func (r *degradedRig) execute(t *testing.T) QueryResult {
 	t.Helper()
 	var res QueryResult
 	r.eng.Spawn("probe", func(p *sim.Proc) {
-		res = r.host.Execute(p, bothNodes, chooser)
+		res = r.host.Submit(p, selectOf(r.rel.Name, bothNodes))
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
@@ -109,18 +109,18 @@ func (r *degradedRig) execute(t *testing.T) QueryResult {
 	return res
 }
 
-// With nothing broken the degraded scheduler must agree with the legacy
-// path's answer.
+// With nothing broken the default retry policy must agree with the zero
+// (fault-free) policy's answer.
 func TestDegradedHealthyMatchesLegacy(t *testing.T) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
-	legacy := newRig(t, core.NewRangeForRelation(rel, storage.Unique1, 2)).execute(t, bothNodes)
+	zero := newRig(t, core.NewRangeForRelation(rel, storage.Unique1, 2)).execute(t, bothNodes)
 	res := newDegradedRig(t).execute(t)
 	if res.Outcome != OutcomeOK || res.Retries != 0 {
 		t.Fatalf("healthy degraded run: outcome=%v retries=%d", res.Outcome, res.Retries)
 	}
-	if res.Tuples != legacy.Tuples || res.ProcessorsUsed != legacy.ProcessorsUsed {
-		t.Fatalf("degraded answer differs from legacy: %d tuples on %d procs vs %d on %d",
-			res.Tuples, res.ProcessorsUsed, legacy.Tuples, legacy.ProcessorsUsed)
+	if res.Tuples != zero.Tuples || res.ProcessorsUsed != zero.ProcessorsUsed {
+		t.Fatalf("degraded answer differs from the zero policy: %d tuples on %d procs vs %d on %d",
+			res.Tuples, res.ProcessorsUsed, zero.Tuples, zero.ProcessorsUsed)
 	}
 }
 

@@ -62,8 +62,8 @@ func (s SharingStats) String() string {
 // replica role, and the same placement epoch — a backup-rerouted retry or
 // a pre-cutover query must not share a disk pass with operators reading a
 // different physical fragment. Predicates within a group may differ — the
-// disk pass covers their union. backup and epoch stay zero-valued on the
-// legacy fault-free path, leaving its grouping unchanged.
+// disk pass covers their union. backup and epoch stay zero-valued without
+// faults or elasticity, leaving the grouping to (node, relation, access).
 type shareKey struct {
 	node     int
 	relation string

@@ -23,7 +23,7 @@ func BenchmarkSharedScanBatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < 8; k++ {
 				r.eng.Spawn("q", func(qp *sim.Proc) {
-					r.host.Execute(qp, pred, chooser)
+					r.host.Submit(qp, selectOf(rel.Name, pred))
 					done.Put(1)
 				})
 			}

@@ -26,7 +26,7 @@ func runConcurrent(t *testing.T, share bool, preds []core.Predicate) ([]QueryRes
 	for i := range preds {
 		i := i
 		r.eng.Spawn("term", func(p *sim.Proc) {
-			results[i] = r.host.Execute(p, preds[i], chooser)
+			results[i] = r.host.Submit(p, selectOf(rel.Name, preds[i]))
 			done++
 			if done == len(preds) {
 				r.eng.Stop()
@@ -148,30 +148,6 @@ func TestSharedBatchDedupsPages(t *testing.T) {
 	}
 	if stats.Batches == 0 || stats.BatchedOps != int64(len(preds)*2) {
 		t.Fatalf("expected %d batched ops across 2 nodes, got %+v", len(preds)*2, stats)
-	}
-}
-
-// TestSubmitMatchesExecute: the deprecated Execute wrapper and an explicit
-// plan submission are the same query — byte-identical results, timing
-// included, because the wrapper is a pure rewrite.
-func TestSubmitMatchesExecute(t *testing.T) {
-	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
-	pl := core.NewRangeForRelation(rel, storage.Unique1, 2)
-	pred := core.Predicate{Attr: storage.Unique2, Lo: 50, Hi: 69}
-
-	a := newRig(t, pl).execute(t, pred)
-
-	r := newRig(t, pl)
-	var b QueryResult
-	r.eng.Spawn("probe", func(p *sim.Proc) {
-		b = r.host.Submit(p, plan.NewIndexScan(rel.Name, pred, AccessClustered))
-		r.eng.Stop()
-	})
-	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Execute and Submit diverged:\n%+v\n%+v", a, b)
 	}
 }
 

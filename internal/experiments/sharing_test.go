@@ -54,8 +54,8 @@ func TestRunSharingRejectsFaults(t *testing.T) {
 	opts := QuickScale()
 	opts.ArmFaults(KillSpec(1, opts.Processors), true)
 	if _, _, err := RunSharing(fig, 0, opts, CampaignOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "legacy scheduler") {
-		t.Fatalf("RunSharing with faults err = %v, want legacy-scheduler error", err)
+		!strings.Contains(err.Error(), "one campaign mode per run") {
+		t.Fatalf("RunSharing with faults err = %v, want one-campaign-mode error", err)
 	}
 }
 

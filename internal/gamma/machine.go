@@ -228,7 +228,7 @@ func (m *Machine) AddRelation(rel *storage.Relation, placement core.Placement) e
 
 // Reset rebuilds the simulation engine, hardware, and storage so direct
 // users of Machine.Eng/Host (single-query probes, joins) can start from a
-// cold, deterministic state; Run and RunOpen call it implicitly.
+// cold, deterministic state; Run and RunServe call it implicitly.
 func (m *Machine) Reset() { m.reset() }
 
 // reset rebuilds the simulation engine, hardware, and storage so a Run

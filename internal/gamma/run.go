@@ -53,8 +53,8 @@ type NodeUtil struct {
 	TuplesShipped int64   `json:"tuples_shipped"`
 }
 
-// Outcomes tallies per-query outcomes over the measurement window. All
-// zeroes except OK on the fault-free legacy path.
+// Outcomes tallies per-query outcomes over the measurement window. Without
+// faults every completion is OK (or Failed, for a query a node refused).
 type Outcomes struct {
 	OK       int `json:"ok"`
 	Retried  int `json:"retried"`

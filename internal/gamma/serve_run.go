@@ -3,10 +3,10 @@ package gamma
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/rebalance"
 	"repro/internal/rng"
 	"repro/internal/serve"
@@ -118,11 +118,10 @@ func (m *Machine) RunServe(mix workload.Mix, spec ServeSpec) (ServeResult, error
 		WarmupQueries:  spec.WarmupQueries,
 		MeasureQueries: spec.MeasureQueries,
 		MaxSimTime:     spec.MaxSimTime,
-		Sample: func(src *rng.Source) (core.Predicate, string) {
+		Sample: func(src *rng.Source) (*plan.Node, string) {
 			pred, cls := mix.Sample(src, card)
-			return pred, cls.Name
+			return plan.Select(m.Relation.Name, pred, access(pred)), cls.Name
 		},
-		Access: access,
 		OnWarm: func() { m.resetStats() },
 	}
 	if m.Telemetry != nil {

@@ -42,6 +42,33 @@ func TestRunServeDeterministic(t *testing.T) {
 	}
 }
 
+// Open-system throughput tracks the offered load while the machine keeps
+// up, and a heavier (still sustainable) load queues longer.
+func TestRunServeTracksOfferedLoad(t *testing.T) {
+	rel := smallRelation(t, 0)
+	m := buildRange(t, rel, smallConfig())
+	mix := workload.LowLow(rel.Cardinality())
+	run := func(qps float64) serve.Result {
+		res, err := m.RunServe(mix, ServeSpec{
+			Arrival:       serve.ArrivalSpec{Kind: serve.Poisson, RateQPS: qps},
+			WarmupQueries: 20, MeasureQueries: 150,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Serve
+	}
+	light := run(20)
+	if got := light.CompletedQPS(); got < 15 || got > 25 {
+		t.Fatalf("open throughput %.1f should track the 20 q/s arrival rate", got)
+	}
+	heavy := run(120)
+	if heavy.SLO.Latency.Mean <= light.SLO.Latency.Mean {
+		t.Fatalf("latency did not grow with load: %.1fms vs %.1fms",
+			heavy.SLO.Latency.Mean, light.SLO.Latency.Mean)
+	}
+}
+
 // A node crash mid-admission under heavy overload: the front end must keep
 // draining — queries on the dead node fail with a typed outcome, queued
 // queries are shed with typed reasons — and the run must terminate instead
