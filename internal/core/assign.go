@@ -257,86 +257,3 @@ func sortByWeightDesc(order []int, weights []int) {
 		}
 	}
 }
-
-// Rebalance is the Section 4 hill-climbing heuristic: repeatedly swap the
-// ownership of the two slices (of any one dimension) whose exchange most
-// improves the balance of per-processor tuple counts, until no swap
-// improves it. The paper states its climber narrows the gap between the
-// heaviest and lightest processors; a literal max/min-pair objective can
-// oscillate (a swap helping one extreme pair re-skews another), so we score
-// swaps by the sum-of-squares potential sum(load^2), which strictly
-// decreases on every accepted swap and therefore converges to the same kind
-// of local optimum monotonically. Swapping whole slices preserves the
-// number of distinct processors in every slice of every dimension. owners
-// is modified in place; the return value is the number of swaps applied.
-func Rebalance(owners []int, dims []int, counts []int, p, maxIters int) int {
-	if len(owners) != len(counts) {
-		panic("core: owners/counts length mismatch")
-	}
-	loads := ProcessorLoads(owners, counts, p)
-
-	// Per-dimension slice views: sliceCells[d][i] lists the flat indices of
-	// slice i of dimension d, in a fixed "rest" order shared by all slices
-	// of d so that position r in two slices refers to the same rest-coord.
-	sliceCells := make([][][]int, len(dims))
-	for d := range dims {
-		sliceCells[d] = make([][]int, dims[d])
-	}
-	forEachCell(dims, func(flat int, coord []int) {
-		for d := range dims {
-			sliceCells[d][coord[d]] = append(sliceCells[d][coord[d]], flat)
-		}
-	})
-
-	delta := make([]int64, p)
-	var touched []int
-	swaps := 0
-	for iter := 0; iter < maxIters; iter++ {
-		var bestPhi int64 // must be strictly negative to accept
-		bestD, bestI, bestJ := -1, 0, 0
-		for d := range dims {
-			for i := 0; i < dims[d]; i++ {
-				for j := i + 1; j < dims[d]; j++ {
-					si, sj := sliceCells[d][i], sliceCells[d][j]
-					touched = touched[:0]
-					for r := range si {
-						ci, cj := counts[si[r]], counts[sj[r]]
-						if ci == cj {
-							continue
-						}
-						oi, oj := owners[si[r]], owners[sj[r]]
-						if delta[oi] == 0 {
-							touched = append(touched, oi)
-						}
-						delta[oi] += int64(cj - ci)
-						if delta[oj] == 0 {
-							touched = append(touched, oj)
-						}
-						delta[oj] += int64(ci - cj)
-					}
-					var phi int64
-					for _, q := range touched {
-						l := int64(loads[q])
-						phi += (l+delta[q])*(l+delta[q]) - l*l
-						delta[q] = 0
-					}
-					if phi < bestPhi {
-						bestPhi, bestD, bestI, bestJ = phi, d, i, j
-					}
-				}
-			}
-		}
-		if bestD == -1 {
-			break // no swap improves the balance: local optimum
-		}
-		si, sj := sliceCells[bestD][bestI], sliceCells[bestD][bestJ]
-		for r := range si {
-			oi, oj := owners[si[r]], owners[sj[r]]
-			loads[oi] += counts[sj[r]] - counts[si[r]]
-			loads[oj] += counts[si[r]] - counts[sj[r]]
-			owners[si[r]], owners[sj[r]] = oj, oi
-		}
-		swaps++
-	}
-	return swaps
-}

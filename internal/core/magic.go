@@ -33,7 +33,7 @@ type MagicOptions struct {
 	// DisableRebalance skips the Section 4 hill-climbing rebalancing
 	// (ablation: shows the skew correlated data causes without it).
 	DisableRebalance bool
-	// RebalanceMaxIters bounds the hill climber (default 60).
+	// RebalanceMaxIters bounds the hill climber's swaps (default 200).
 	RebalanceMaxIters int
 	// MaxCells overrides the directory-size cap (default
 	// max(16*P, 4*Cardinality/FC); see gridfile.SetMaxCells for why highly
