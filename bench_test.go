@@ -283,7 +283,7 @@ func BenchmarkScaleOut(b *testing.B) {
 	copts := experiments.CampaignOptions{Workers: benchWorkers()}
 	var last experiments.ScaleResult
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.RunScaleSweepParallel(sweep, opts, copts)
+		res, _, err := experiments.RunScaleSweep(sweep, opts, copts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,6 +11,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"testing"
 
@@ -436,17 +437,12 @@ func runBenchSuite(path string) error {
 		Benchmarks: results,
 		Manifest:   manifest,
 	}
-	f, err := os.Create(path)
+	err = writeFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(report)
+	})
 	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks)\n", path, len(results))

@@ -79,8 +79,8 @@
 //	-share-window D  batching window in simulated time (default: the gamma
 //	                 default, 5ms)
 //
-// -share is its own campaign mode, so it is mutually exclusive with every
-// fault flag and with -open.
+// -share also refuses every fault flag: its off column is the fault-free
+// baseline.
 //
 // Elastic membership (DESIGN.md §13): serve an open arrival process while
 // the membership controller joins a standby node and decommissions a member
@@ -101,8 +101,7 @@
 //	-sizes 4,8       comma-separated initial cluster sizes (default -procs)
 //
 // The elasticity campaign reuses -arrival, -tenants, -slo-ms and -governor;
-// -lambda's first value is the offered load (default 100). -elastic is
-// mutually exclusive with -open, -share and -faults.
+// -lambda's first value is the offered load (default 100).
 //
 // Fault injection (all fault flags imply chained replicas and the degraded
 // scheduler; see DESIGN.md §8):
@@ -121,6 +120,9 @@
 // Runs with faults armed print a summary line
 // "fault outcomes: ok=N retried=N timed_out=N failed=N" that CI greps.
 //
+// -open, -elastic, -share and -faults each select one campaign mode; at
+// most one of them may be set per run.
+//
 // Profiling the simulator itself:
 //
 //	-cpuprofile FILE  write a pprof CPU profile of the whole run
@@ -130,11 +132,13 @@
 //
 // Exit status is non-zero when any simulation job fails or when -compare
 // finds throughput drifts beyond the tolerance, so both can gate CI.
+// -tolerance 0 demands exactly equal throughputs.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -142,6 +146,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -153,6 +158,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func main() { os.Exit(run()) }
@@ -174,7 +180,7 @@ func run() int {
 		plot        = flag.Bool("plot", false, "draw each figure as an ASCII chart")
 		jsonOut     = flag.String("json", "", "write results to a JSON archive")
 		compare     = flag.String("compare", "", "compare against a previous JSON archive")
-		tolerance   = flag.Float64("tolerance", 0.05, "relative drift threshold for -compare")
+		tolerance   = flag.Float64("tolerance", 0.05, "relative drift threshold for -compare (0 = exact)")
 		csv         = flag.Bool("csv", false, "emit CSV")
 		scaleout    = flag.Bool("scaleout", false, "run the machine-size sweep too")
 		nodeStats   = flag.Bool("node-stats", false, "print per-node utilization tables (highest MPL)")
@@ -261,33 +267,6 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	// A full open sweep over all nine figures at paper scale would dwarf the
-	// closed-loop campaign, so -open without -fig defaults to figure 8a.
-	if *open && *figList == "" {
-		fig, err := experiments.FigureByID("8a")
-		if err != nil {
-			return fail(err)
-		}
-		figs = []experiments.Figure{fig}
-	}
-	// The sharing campaign runs every point twice (off and on); default it
-	// to the Moderate-Low figure, where batch overlap is most visible.
-	if *share && *figList == "" {
-		fig, err := experiments.FigureByID("11a")
-		if err != nil {
-			return fail(err)
-		}
-		figs = []experiments.Figure{fig}
-	}
-	// The elasticity campaign serves one offered load per point with two
-	// copy windows inside it; default to one figure as -open does.
-	if *elastic && *figList == "" {
-		fig, err := experiments.FigureByID("8a")
-		if err != nil {
-			return fail(err)
-		}
-		figs = []experiments.Figure{fig}
-	}
 	oopts, err := buildOpenOptions(*arrival, *lambdaList, *tenants, *sloMS, *governor)
 	if err != nil {
 		return fail(err)
@@ -299,16 +278,38 @@ func run() int {
 	if spec.Enabled() {
 		opts.ArmFaults(spec, true)
 	}
-	if *share && (spec.Enabled() || *faultsKs != "" || *open) {
-		return fail(fmt.Errorf("-share is mutually exclusive with fault flags and -open (one campaign mode per run)"))
+	mode, err := campaignMode(*open, *elastic, *share, *faultsKs != "", spec.Enabled())
+	if err != nil {
+		return fail(err)
 	}
-	if *elastic && (*open || *share || *faultsKs != "") {
-		return fail(fmt.Errorf("-elastic is mutually exclusive with -open, -share and -faults (one campaign mode per run)"))
+	// The extension campaigns default to one figure when -fig is not given:
+	// an open or elastic sweep over all nine figures at paper scale would
+	// dwarf the closed-loop campaign, and the sharing campaign (every point
+	// runs twice) uses the Moderate-Low figure, where batch overlap is most
+	// visible.
+	if *figList == "" && mode != "" {
+		def := "8a"
+		if mode == "share" {
+			def = "11a"
+		}
+		if figs, err = selectFigures(def); err != nil {
+			return fail(err)
+		}
+	}
+	if mode != "" && len(figs) == 0 {
+		return fail(fmt.Errorf(`-%s needs at least one figure (drop "-fig none")`, mode))
+	}
+	ks, err := parseInts("faults", *faultsKs, 0)
+	if err != nil {
+		return fail(err)
+	}
+	if *tolerance < 0 {
+		return fail(fmt.Errorf("negative -tolerance %g", *tolerance))
 	}
 	if *migrateRate < 0 {
 		return fail(fmt.Errorf("negative -migrate-rate %d", *migrateRate))
 	}
-	sizes, err := parseSizes(*sizeList)
+	sizes, err := parseInts("sizes", *sizeList, 1)
 	if err != nil {
 		return fail(err)
 	}
@@ -351,76 +352,57 @@ func run() int {
 	}
 
 	exit := 0
-	if *benchOut != "" {
-		fmt.Fprintln(os.Stderr, "running kernel microbenchmark suite...")
-		if err := runBenchSuite(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "declusterbench:", err)
-			exit = 1
-		}
-	}
-	archive := experiments.Archive{Label: "declusterbench", Options: opts}
-	var manifests []harness.Manifest
-
-	if *open {
-		if len(figs) == 0 {
-			return fail(fmt.Errorf(`-open needs at least one figure (drop "-fig none")`))
-		}
-		fmt.Fprintf(os.Stderr, "running open-system campaign (%s arrivals, λ=%v) on %d workers...\n",
-			oopts.Arrival, oopts.Lambdas, workersFor(*parallel))
-		campaign, err := experiments.RunOpenSystem(figs, opts, oopts, experiments.CampaignOptions{
-			Workers:    *parallel,
-			JobTimeout: *timeout,
-			Progress:   os.Stderr,
-			Label:      "open",
-			Hub:        hub,
-		})
+	warn := func(err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "declusterbench:", err)
 			exit = 1
 		}
-		manifests = append(manifests, campaign.Manifest)
+	}
+	if *benchOut != "" {
+		fmt.Fprintln(os.Stderr, "running kernel microbenchmark suite...")
+		warn(runBenchSuite(*benchOut))
+	}
+	archive := experiments.Archive{Label: "declusterbench", Options: opts}
+	var manifests []harness.Manifest
+	var heat []heatFile
+	copts := experiments.CampaignOptions{
+		Workers:    *parallel,
+		JobTimeout: *timeout,
+		Progress:   os.Stderr,
+		Hub:        hub,
+	}
+	// begin announces one campaign and labels its options; end files the
+	// campaign's manifest and reports its failures.
+	begin := func(label string) experiments.CampaignOptions {
+		fmt.Fprintf(os.Stderr, "running %s campaign on %d workers...\n", label, workersFor(*parallel))
+		copts.Label = label
+		return copts
+	}
+	end := func(m harness.Manifest, err error) {
+		warn(err)
+		manifests = append(manifests, m)
+	}
+
+	switch mode {
+	case "open":
+		c, err := experiments.RunOpenSystem(figs, opts, oopts, begin("open"))
+		end(c.Manifest, err)
 		if *tsDir != "" {
-			if err := writeTimeSeriesCSVs(*tsDir, campaign.Manifest); err != nil {
-				fmt.Fprintln(os.Stderr, "declusterbench:", err)
-				exit = 1
-			}
+			warn(writeTimeSeriesCSVs(*tsDir, c.Manifest))
 		}
-		for _, res := range campaign.Figures {
-			if *csv {
-				fmt.Print(res.Table().CSV())
-			} else {
-				fmt.Println(res.Table().String())
-			}
-			for _, n := range res.Notes {
-				fmt.Printf("  %s\n", n)
-			}
+		for _, res := range c.Figures {
+			printTable(res.Table(), *csv)
+			printNotes(res.Notes)
 			if *detail {
-				if *csv {
-					fmt.Print(res.DetailTable().CSV())
-				} else {
-					fmt.Println(res.DetailTable().String())
-				}
+				printTable(res.DetailTable(), *csv)
 			}
 			fmt.Println()
-			if *csv {
-				fmt.Print(res.SummaryTable().CSV())
-			} else {
-				fmt.Println(res.SummaryTable().String())
-			}
+			printTable(res.SummaryTable(), *csv)
 			fmt.Println()
 			printOpenTelemetry(res, *csv)
-			printOpenHeat(res, *csv)
+			heat = append(heat, printHeat(res.Figure, res, *csv)...)
 		}
-		if *heatmapDir != "" {
-			if err := writeHeatCSVs(*heatmapDir, openHeatFiles(campaign.Figures)); err != nil {
-				fmt.Fprintln(os.Stderr, "declusterbench:", err)
-				exit = 1
-			}
-		}
-	} else if *elastic {
-		if len(figs) == 0 {
-			return fail(fmt.Errorf(`-elastic needs at least one figure (drop "-fig none")`))
-		}
+	case "elastic":
 		eopts := experiments.ElasticOptions{
 			Arrival:      oopts.Arrival,
 			Tenants:      oopts.Tenants,
@@ -435,35 +417,14 @@ func run() int {
 		if len(oopts.Lambdas) > 0 {
 			eopts.Lambda = oopts.Lambdas[0]
 		}
-		fmt.Fprintf(os.Stderr, "running elasticity campaign (%s arrivals) on %d workers...\n",
-			oopts.Arrival, workersFor(*parallel))
-		campaign, err := experiments.RunElastic(figs, opts, eopts, experiments.CampaignOptions{
-			Workers:    *parallel,
-			JobTimeout: *timeout,
-			Progress:   os.Stderr,
-			Label:      "elastic",
-			Hub:        hub,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "declusterbench:", err)
-			exit = 1
-		}
-		manifests = append(manifests, campaign.Manifest)
+		c, err := experiments.RunElastic(figs, opts, eopts, begin("elastic"))
+		end(c.Manifest, err)
 		if *tsDir != "" {
-			if err := writeTimeSeriesCSVs(*tsDir, campaign.Manifest); err != nil {
-				fmt.Fprintln(os.Stderr, "declusterbench:", err)
-				exit = 1
-			}
+			warn(writeTimeSeriesCSVs(*tsDir, c.Manifest))
 		}
-		for _, res := range campaign.Figures {
-			if *csv {
-				fmt.Print(res.Table().CSV())
-			} else {
-				fmt.Println(res.Table().String())
-			}
-			for _, n := range res.Notes {
-				fmt.Printf("  %s\n", n)
-			}
+		for _, res := range c.Figures {
+			printTable(res.Table(), *csv)
+			printNotes(res.Notes)
 			for _, p := range res.Points {
 				if p.Summary != "" {
 					fmt.Printf("fig%s/%s n=%d %s\n", res.Figure.ID, p.Strategy, p.Size, p.Summary)
@@ -471,137 +432,67 @@ func run() int {
 			}
 			fmt.Println()
 		}
-	} else if *faultsKs != "" {
-		if len(figs) == 0 {
-			return fail(fmt.Errorf(`-faults needs at least one figure (drop "-fig none")`))
+	case "faults":
+		results, m, err := experiments.RunDegraded(figs, ks, opts, begin("degraded"))
+		end(m, err)
+		for _, res := range results {
+			printTable(res.Table(), *csv)
+			fmt.Printf("fault outcomes: %s\n\n", res.Outcomes())
 		}
-		ks, err := parseKs(*faultsKs)
-		if err != nil {
-			return fail(err)
-		}
-		for _, fig := range figs {
-			fmt.Fprintf(os.Stderr, "running degraded campaign for figure %s (k=%v) on %d workers...\n",
-				fig.ID, ks, workersFor(*parallel))
-			dres, manifest, err := experiments.RunDegraded(fig, ks, opts, experiments.CampaignOptions{
-				Workers:    *parallel,
-				JobTimeout: *timeout,
-				Progress:   os.Stderr,
-				Label:      "degraded/" + fig.ID,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "declusterbench:", err)
-				exit = 1
-			}
-			manifests = append(manifests, manifest)
-			if *csv {
-				fmt.Print(dres.Table().CSV())
-			} else {
-				fmt.Println(dres.Table().String())
-			}
-			fmt.Printf("fault outcomes: %s\n\n", dres.Outcomes())
-		}
-	} else if *share {
-		if len(figs) == 0 {
-			return fail(fmt.Errorf(`-share needs at least one figure (drop "-fig none")`))
-		}
+	case "share":
 		windowMS := float64(*shareWindow) / float64(time.Millisecond)
-		for _, fig := range figs {
-			fmt.Fprintf(os.Stderr, "running shared-scan campaign for figure %s on %d workers...\n",
-				fig.ID, workersFor(*parallel))
-			sres, manifest, err := experiments.RunSharing(fig, windowMS, opts, experiments.CampaignOptions{
-				Workers:    *parallel,
-				JobTimeout: *timeout,
-				Progress:   os.Stderr,
-				Label:      "sharing/" + fig.ID,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "declusterbench:", err)
-				exit = 1
-			}
-			manifests = append(manifests, manifest)
-			if *csv {
-				fmt.Print(sres.Table().CSV())
-			} else {
-				fmt.Println(sres.Table().String())
-			}
-			for _, line := range sres.Summary() {
+		results, m, err := experiments.RunSharing(figs, windowMS, opts, begin("sharing"))
+		end(m, err)
+		for _, res := range results {
+			printTable(res.Table(), *csv)
+			for _, line := range res.Summary() {
 				fmt.Println(line)
 			}
-			saved, best := sres.MaxSaved()
+			saved, best := res.MaxSaved()
 			fmt.Printf("sharing best: %.1f%% disk reads saved (%s fig%s MPL %d)\n\n",
-				100*saved, best.Strategy, fig.ID, best.MPL)
+				100*saved, best.Strategy, res.Figure.ID, best.MPL)
 		}
-	} else if len(figs) > 0 {
-		fmt.Fprintf(os.Stderr, "running %d figures on %d workers...\n", len(figs), workersFor(*parallel))
-		campaign, err := experiments.RunCampaign(figs, opts, experiments.CampaignOptions{
-			Workers:    *parallel,
-			JobTimeout: *timeout,
-			Progress:   os.Stderr,
-			Label:      "figures",
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "declusterbench:", err)
-			exit = 1
+	default:
+		if len(figs) == 0 {
+			break
 		}
-		manifests = append(manifests, campaign.Manifest)
-		for _, res := range campaign.Figures {
+		c, err := experiments.RunCampaign(figs, opts, begin("figures"))
+		end(c.Manifest, err)
+		var outcomes gamma.Outcomes
+		for _, res := range c.Figures {
 			archive.Figures = append(archive.Figures, res.Archive())
-			if *csv {
-				fmt.Print(res.Table().CSV())
-			} else {
-				fmt.Println(res.Table().String())
-			}
-			for _, n := range res.Notes {
-				fmt.Printf("  %s\n", n)
-			}
+			printTable(res.Table(), *csv)
+			printNotes(res.Notes)
 			if *plot {
 				fmt.Println()
 				fmt.Println(res.Chart().String())
 			}
 			if *detail {
-				if *csv {
-					fmt.Print(res.DetailTable().CSV())
-				} else {
-					fmt.Println(res.DetailTable().String())
-				}
+				printTable(res.DetailTable(), *csv)
 			}
 			if *nodeStats {
 				printNodeStats(res, *csv)
 			}
-			if opts.Heat {
-				printHeat(res, *csv)
-			}
+			heat = append(heat, printHeat(res.Figure, res, *csv)...)
 			fmt.Println()
-		}
-		if *heatmapDir != "" {
-			if err := writeHeatCSVs(*heatmapDir, closedHeatFiles(campaign.Figures)); err != nil {
-				fmt.Fprintln(os.Stderr, "declusterbench:", err)
-				exit = 1
+			for _, p := range res.Points {
+				o := p.Result.Outcomes
+				outcomes.OK += o.OK
+				outcomes.Retried += o.Retried
+				outcomes.TimedOut += o.TimedOut
+				outcomes.Failed += o.Failed
 			}
 		}
 		if opts.Faults.Enabled() {
-			var o gamma.Outcomes
-			for _, res := range campaign.Figures {
-				for _, p := range res.Points {
-					o.OK += p.Result.Outcomes.OK
-					o.Retried += p.Result.Outcomes.Retried
-					o.TimedOut += p.Result.Outcomes.TimedOut
-					o.Failed += p.Result.Outcomes.Failed
-				}
-			}
-			fmt.Printf("fault outcomes: %s\n", o)
+			fmt.Printf("fault outcomes: %s\n", outcomes)
 		}
+	}
+	if *heatmapDir != "" && len(heat) > 0 {
+		warn(writeHeatCSVs(*heatmapDir, heat))
 	}
 
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return fail(err)
-		}
-		if err := experiments.WriteArchive(f, archive); err != nil {
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*jsonOut, func(w io.Writer) error { return experiments.WriteArchive(w, archive) }); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
@@ -629,36 +520,14 @@ func run() int {
 	}
 
 	if *scaleout {
-		fmt.Fprintln(os.Stderr, "running scale-out sweep...")
-		res, manifest, err := experiments.RunScaleSweepParallel(
-			experiments.DefaultScaleSweep(), opts, experiments.CampaignOptions{
-				Workers:    *parallel,
-				JobTimeout: *timeout,
-				Progress:   os.Stderr,
-				Label:      "scaleout",
-			})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "declusterbench:", err)
-			exit = 1
-		}
-		manifests = append(manifests, manifest)
-		if *csv {
-			fmt.Print(res.Table().CSV())
-		} else {
-			fmt.Println(res.Table().String())
-		}
+		res, m, err := experiments.RunScaleSweep(experiments.DefaultScaleSweep(), opts, begin("scaleout"))
+		end(m, err)
+		printTable(res.Table(), *csv)
 	}
 
 	if *manifestOut != "" && len(manifests) > 0 {
 		merged := harness.Merge("declusterbench", manifests...)
-		f, err := os.Create(*manifestOut)
-		if err != nil {
-			return fail(err)
-		}
-		if err := merged.Write(f); err != nil {
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*manifestOut, merged.Write); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d jobs, %d workers, %.2fx speedup vs serial)\n",
@@ -680,22 +549,9 @@ func printOpenTelemetry(res experiments.OpenFigureResult, csv bool) {
 	if !res.HasTimeSeries() || len(res.Open.Lambdas) == 0 {
 		return
 	}
-	lambda := res.Open.Lambdas[0]
-	for _, l := range res.Open.Lambdas {
-		if l > lambda {
-			lambda = l
-		}
-	}
-	for _, tb := range []interface {
-		CSV() string
-		String() string
-	}{res.GoodputOverTime(lambda), res.SkewOverTime(lambda)} {
-		if csv {
-			fmt.Print(tb.CSV())
-		} else {
-			fmt.Println(tb.String())
-		}
-	}
+	lambda := slices.Max(res.Open.Lambdas)
+	printTable(res.GoodputOverTime(lambda), csv)
+	printTable(res.SkewOverTime(lambda), csv)
 	for _, p := range res.Points {
 		if p.Lambda != lambda || p.Result.Serve.Burn == nil {
 			continue
@@ -729,15 +585,7 @@ func writeTimeSeriesCSVs(dir string, manifest harness.Manifest) error {
 			continue
 		}
 		path := filepath.Join(dir, strings.ReplaceAll(r.ID, "/", "_")+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteSeriesCSV(f, r.TimeSeries); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(path, func(w io.Writer) error { return obs.WriteSeriesCSV(w, r.TimeSeries) }); err != nil {
 			return err
 		}
 		n++
@@ -746,43 +594,27 @@ func writeTimeSeriesCSVs(dir string, manifest harness.Manifest) error {
 	return nil
 }
 
-// printHeat emits each strategy's merged fragment heatmap plus its
-// hot-fragments line.
-func printHeat(res experiments.FigureResult, csv bool) {
-	for _, s := range res.Figure.Strategies {
-		snap := res.StrategyHeat(s)
-		if snap == nil {
-			continue
-		}
-		tb := res.HeatTable(s)
-		if csv {
-			fmt.Print(tb.CSV())
-		} else {
-			fmt.Println(tb.String())
-		}
-		if line := experiments.HotLine(res.Figure.ID, s, snap); line != "" {
-			fmt.Println(line)
-		}
+// printTable emits a table as CSV or as aligned text.
+func printTable(tb *stats.Table, csv bool) {
+	if csv {
+		fmt.Print(tb.CSV())
+	} else {
+		fmt.Println(tb.String())
 	}
 }
 
-// printOpenHeat is printHeat for open-system figures.
-func printOpenHeat(res experiments.OpenFigureResult, csv bool) {
-	for _, s := range res.Figure.Strategies {
-		snap := res.StrategyHeat(s)
-		if snap == nil {
-			continue
-		}
-		tb := res.HeatTable(s)
-		if csv {
-			fmt.Print(tb.CSV())
-		} else {
-			fmt.Println(tb.String())
-		}
-		if line := experiments.HotLine(res.Figure.ID, s, snap); line != "" {
-			fmt.Println(line)
-		}
+// printNotes emits a figure's construction notes, indented.
+func printNotes(notes []string) {
+	for _, n := range notes {
+		fmt.Printf("  %s\n", n)
 	}
+}
+
+// heatSource is a figure result carrying per-strategy fragment heat (the
+// closed-loop and the open-system figure results).
+type heatSource interface {
+	StrategyHeat(strategy string) *obs.HeatSnapshot
+	HeatTable(strategy string) *stats.Table
 }
 
 // heatFile is one (figure, strategy) merged heat snapshot destined for a
@@ -792,31 +624,24 @@ type heatFile struct {
 	snap *obs.HeatSnapshot
 }
 
-// closedHeatFiles collects the merged per-strategy snapshots of a closed
-// campaign in canonical (figure, strategy) order.
-func closedHeatFiles(figures []experiments.FigureResult) []heatFile {
-	var out []heatFile
-	for _, res := range figures {
-		for _, s := range res.Figure.Strategies {
-			if snap := res.StrategyHeat(s); snap != nil {
-				out = append(out, heatFile{"fig" + res.Figure.ID + "_" + s + "_heat.csv", snap})
-			}
+// printHeat emits each strategy's merged fragment heatmap plus its
+// hot-fragments line, and returns the snapshots as -heatmap-dir files in
+// canonical (figure, strategy) order. Nothing is printed when heat was not
+// armed.
+func printHeat(fig experiments.Figure, res heatSource, csv bool) []heatFile {
+	var files []heatFile
+	for _, s := range fig.Strategies {
+		snap := res.StrategyHeat(s)
+		if snap == nil {
+			continue
 		}
-	}
-	return out
-}
-
-// openHeatFiles is closedHeatFiles for open-system figures.
-func openHeatFiles(figures []experiments.OpenFigureResult) []heatFile {
-	var out []heatFile
-	for _, res := range figures {
-		for _, s := range res.Figure.Strategies {
-			if snap := res.StrategyHeat(s); snap != nil {
-				out = append(out, heatFile{"fig" + res.Figure.ID + "_" + s + "_heat.csv", snap})
-			}
+		printTable(res.HeatTable(s), csv)
+		if line := experiments.HotLine(fig.ID, s, snap); line != "" {
+			fmt.Println(line)
 		}
+		files = append(files, heatFile{"fig" + fig.ID + "_" + s + "_heat.csv", snap})
 	}
-	return out
+	return files
 }
 
 // writeHeatCSVs writes one canonical-order fragment heat CSV per
@@ -828,15 +653,7 @@ func writeHeatCSVs(dir string, files []heatFile) error {
 		return err
 	}
 	for _, hf := range files {
-		f, err := os.Create(filepath.Join(dir, hf.name))
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteHeatCSV(f, hf.snap); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(filepath.Join(dir, hf.name), func(w io.Writer) error { return obs.WriteHeatCSV(w, hf.snap) }); err != nil {
 			return err
 		}
 	}
@@ -844,30 +661,58 @@ func writeHeatCSVs(dir string, files []heatFile) error {
 	return nil
 }
 
+// writeFile creates path and fills it through write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // printNodeStats emits each strategy's per-node utilization table at the
 // sweep's highest MPL, where execution skew is most visible.
 func printNodeStats(res experiments.FigureResult, csv bool) {
-	mpls := res.Options.MPLs
-	if len(mpls) == 0 {
+	if len(res.Options.MPLs) == 0 {
 		return
 	}
-	maxMPL := mpls[0]
-	for _, m := range mpls {
-		if m > maxMPL {
-			maxMPL = m
-		}
-	}
+	maxMPL := slices.Max(res.Options.MPLs)
 	for _, s := range res.Figure.Strategies {
-		tb := res.NodeTable(s, maxMPL)
-		if tb == nil {
-			continue
-		}
-		if csv {
-			fmt.Print(tb.CSV())
-		} else {
-			fmt.Println(tb.String())
+		if tb := res.NodeTable(s, maxMPL); tb != nil {
+			printTable(tb, csv)
 		}
 	}
+}
+
+// campaignMode enforces one campaign mode per run and names it: "" for the
+// closed-loop figure campaign, otherwise "open", "elastic", "share" or
+// "faults". At most one of those flags may be set, and -share also refuses
+// every fault flag (faultFlags: -mtbf, -kill-disk, -kill-node), since its
+// off column is the fault-free baseline.
+func campaignMode(open, elastic, share, faults, faultFlags bool) (string, error) {
+	var set []string
+	for _, m := range []struct {
+		name string
+		on   bool
+	}{{"open", open}, {"elastic", elastic}, {"share", share}, {"faults", faults}} {
+		if m.on {
+			set = append(set, m.name)
+		}
+	}
+	switch {
+	case len(set) > 1:
+		return "", fmt.Errorf("only one of -open, -elastic, -share and -faults may be set, got -%s (one campaign mode per run)",
+			strings.Join(set, " -"))
+	case share && faultFlags:
+		return "", fmt.Errorf("-share is mutually exclusive with the fault flags (one campaign mode per run)")
+	case len(set) == 1:
+		return set[0], nil
+	}
+	return "", nil
 }
 
 // workersFor mirrors the harness default so the banner matches reality.
@@ -905,13 +750,9 @@ func buildOptions(scale string, card, procs int, mplList string, measure, warmup
 		opts.SeedSet = true
 	}
 	if mplList != "" {
-		var mpls []int
-		for _, s := range strings.Split(mplList, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v <= 0 {
-				return opts, fmt.Errorf("bad MPL %q", s)
-			}
-			mpls = append(mpls, v)
+		mpls, err := parseInts("mpl", mplList, 1)
+		if err != nil {
+			return opts, err
 		}
 		opts.MPLs = mpls
 	}
@@ -1036,33 +877,21 @@ func parseKill(s string, kind fault.Kind) (fault.Event, error) {
 	return ev, nil
 }
 
-// parseSizes parses the -sizes list of initial cluster sizes.
-func parseSizes(list string) ([]int, error) {
+// parseInts parses the comma-separated integer list of flag -name; every
+// entry must be at least min. An empty list yields nil.
+func parseInts(name, list string, min int) ([]int, error) {
 	if list == "" {
 		return nil, nil
 	}
-	var sizes []int
+	var out []int
 	for _, s := range strings.Split(list, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -sizes entry %q (want positive integers)", s)
+		if err != nil || v < min {
+			return nil, fmt.Errorf("bad -%s entry %q (want integers >= %d)", name, s, min)
 		}
-		sizes = append(sizes, v)
+		out = append(out, v)
 	}
-	return sizes, nil
-}
-
-// parseKs parses the -faults list of failed-disk counts.
-func parseKs(list string) ([]int, error) {
-	var ks []int
-	for _, s := range strings.Split(list, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad -faults count %q (want non-negative integers)", s)
-		}
-		ks = append(ks, v)
-	}
-	return ks, nil
+	return out, nil
 }
 
 func fail(err error) int {

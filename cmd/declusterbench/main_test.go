@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/serve"
@@ -129,6 +130,44 @@ func TestBuildOpenOptionsErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := buildOpenOptions(c.arrival, c.lambdas, c.tenants, c.sloMS, c.governor); err == nil {
 			t.Errorf("%s accepted", c.name)
+		}
+	}
+}
+
+func TestCampaignMode(t *testing.T) {
+	cases := []struct {
+		name                                   string
+		open, elastic, share, faults, faultFlg bool
+		want                                   string
+		wantErr                                bool
+	}{
+		{name: "closed", want: ""},
+		{name: "closed with fault flags", faultFlg: true, want: ""},
+		{name: "open", open: true, want: "open"},
+		{name: "open with fault flags", open: true, faultFlg: true, want: "open"},
+		{name: "elastic", elastic: true, want: "elastic"},
+		{name: "share", share: true, want: "share"},
+		{name: "faults", faults: true, want: "faults"},
+		{name: "faults with fault flags", faults: true, faultFlg: true, want: "faults"},
+		{name: "open and faults", open: true, faults: true, wantErr: true},
+		{name: "open and elastic", open: true, elastic: true, wantErr: true},
+		{name: "open and share", open: true, share: true, wantErr: true},
+		{name: "elastic and share", elastic: true, share: true, wantErr: true},
+		{name: "elastic and faults", elastic: true, faults: true, wantErr: true},
+		{name: "share and faults", share: true, faults: true, wantErr: true},
+		{name: "share with fault flags", share: true, faultFlg: true, wantErr: true},
+		{name: "all four", open: true, elastic: true, share: true, faults: true, wantErr: true},
+	}
+	for _, c := range cases {
+		got, err := campaignMode(c.open, c.elastic, c.share, c.faults, c.faultFlg)
+		if c.wantErr {
+			if err == nil || !strings.Contains(err.Error(), "one campaign mode per run") {
+				t.Errorf("%s: err = %v, want a one-campaign-mode error", c.name, err)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("%s: got (%q, %v), want %q", c.name, got, err, c.want)
 		}
 	}
 }

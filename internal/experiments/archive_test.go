@@ -52,6 +52,18 @@ func TestCompareArchivesNoDiff(t *testing.T) {
 	}
 }
 
+// A zero tolerance is an exact-equality gate: the smallest drift is
+// flagged, and identical archives still compare clean.
+func TestCompareArchivesZeroToleranceIsExact(t *testing.T) {
+	diffs := CompareArchives(sampleArchive(600), sampleArchive(601), 0)
+	if len(diffs) != 1 || !strings.Contains(diffs[0], "magic") {
+		t.Fatalf("600 -> 601 q/s at tolerance 0: diffs = %v, want the magic point", diffs)
+	}
+	if diffs := CompareArchives(sampleArchive(600), sampleArchive(600), 0); len(diffs) != 0 {
+		t.Fatalf("identical archives at tolerance 0: diffs = %v", diffs)
+	}
+}
+
 func TestCompareArchivesFlagsRegression(t *testing.T) {
 	diffs := CompareArchives(sampleArchive(600), sampleArchive(480), 0.05)
 	if len(diffs) != 1 {

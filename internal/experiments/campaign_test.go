@@ -122,11 +122,11 @@ func TestScaleSweepParallelMatchesSerial(t *testing.T) {
 	sweep.Strategies = []string{StrategyMAGIC, StrategyRange}
 	opts := campaignTestOptions()
 
-	serial, err := RunScaleSweep(sweep, opts)
+	serial, _, err := RunScaleSweep(sweep, opts, CampaignOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, manifest, err := RunScaleSweepParallel(sweep, opts, CampaignOptions{Workers: 4})
+	parallel, manifest, err := RunScaleSweep(sweep, opts, CampaignOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,83 +48,41 @@ func KillSpec(k, p int) *fault.Spec {
 	return s
 }
 
-// RunDegraded sweeps the figure's strategies across failed-disk counts ks
-// (nil defaults to {0, 1, 2}) with chained replicas on. Jobs run on the
-// harness pool exactly like a figure campaign; per-job fault-event counts
-// land in the manifest.
-func RunDegraded(fig Figure, ks []int, opts Options, copts CampaignOptions) (DegradedResult, harness.Manifest, error) {
+// RunDegraded sweeps each figure's strategies across failed-disk counts ks
+// (nil defaults to {0, 1, 2}) and the MPL sweep, with chained replicas on,
+// returning one result per figure. Jobs run on the campaign engine like a
+// figure campaign; per-job fault-event counts land in the manifest.
+func RunDegraded(figs []Figure, ks []int, opts Options, copts CampaignOptions) ([]DegradedResult, harness.Manifest, error) {
 	opts = opts.withDefaults()
 	opts.ChainedReplicas = true
 	if len(ks) == 0 {
 		ks = []int{0, 1, 2}
 	}
-	out := DegradedResult{Figure: fig, Options: opts, Ks: ks}
-
-	rels := relationCache{}
-	fb, err := buildFigure(fig, rels, opts)
+	builds, err := buildFigures(figs, opts)
 	if err != nil {
-		return out, harness.Manifest{}, err
+		return nil, harness.Manifest{}, err
 	}
-
-	var jobs []harness.Job
-	for si, name := range fb.fig.Strategies {
-		for _, k := range ks {
-			kOpts := opts
-			kOpts.Faults = KillSpec(k, opts.Processors)
-			cfg := ConfigFor(kOpts)
-			for _, mpl := range opts.MPLs {
-				name, k, mpl, pl := name, k, mpl, fb.placements[si]
-				jobs = append(jobs, harness.Job{
-					ID:   fmt.Sprintf("degraded/%s/k%d/mpl%d", name, k, mpl),
-					Seed: opts.Seed,
-					Run: func() (any, error) {
-						machine, err := gamma.Build(fb.rel, pl, cfg)
-						if err != nil {
-							return nil, fmt.Errorf("degraded %s/k%d: %w", name, k, err)
-						}
-						res, err := machine.Run(fb.mix, gamma.RunSpec{
-							MPL:            mpl,
-							WarmupQueries:  opts.WarmupQueries,
-							MeasureQueries: opts.MeasureQueries,
-							Seed:           opts.Seed,
+	out := make([]DegradedResult, len(builds))
+	var l jobList
+	for i, fb := range builds {
+		dr := &out[i]
+		*dr = DegradedResult{Figure: fb.fig, Options: opts, Ks: ks}
+		for si, name := range fb.fig.Strategies {
+			for _, k := range ks {
+				kOpts := opts
+				kOpts.Faults = KillSpec(k, opts.Processors)
+				cfg := ConfigFor(kOpts)
+				for _, mpl := range opts.MPLs {
+					l.addRun(fmt.Sprintf("fig%s/%s/k%d/mpl%d", fb.fig.ID, name, k, mpl), fb, fb.placements[si], cfg,
+						opts.runSpec(mpl), func(res gamma.RunResult) {
+							dr.Points = append(dr.Points, DegradedPoint{Strategy: name, K: k, MPL: mpl, Result: res})
 						})
-						if err != nil {
-							return nil, fmt.Errorf("degraded %s/k%d MPL %d: %w", name, k, mpl, err)
-						}
-						return res, nil
-					},
-				})
-			}
-		}
-	}
-
-	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
-	})
-	if err != nil {
-		return out, manifest, err
-	}
-
-	j := 0
-	for _, name := range fb.fig.Strategies {
-		for _, k := range ks {
-			for _, mpl := range opts.MPLs {
-				if v := values[j]; v != nil {
-					res := v.(gamma.RunResult)
-					manifest.Reports[j].FaultEvents = len(res.FaultLog)
-					out.Points = append(out.Points, DegradedPoint{
-						Strategy: name, K: k, MPL: mpl, Result: res,
-					})
 				}
-				j++
 			}
 		}
 	}
-	return out, manifest, manifest.Err()
+	manifest, err := l.run(copts)
+	return out, manifest, err
 }
 
 // Outcomes sums the outcome tallies across every measured point.

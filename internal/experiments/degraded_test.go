@@ -44,10 +44,11 @@ func TestRunDegradedCampaign(t *testing.T) {
 	opts.MPLs = []int{4}
 	ks := []int{0, 1, 2}
 
-	dr, manifest, err := RunDegraded(fig, ks, opts, CampaignOptions{Workers: 4})
+	drs, manifest, err := RunDegraded([]Figure{fig}, ks, opts, CampaignOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dr := drs[0]
 	wantPoints := len(fig.Strategies) * len(ks) * len(opts.MPLs)
 	if len(dr.Points) != wantPoints {
 		t.Fatalf("points = %d, want %d", len(dr.Points), wantPoints)
@@ -86,11 +87,11 @@ func TestRunDegradedCampaign(t *testing.T) {
 
 	// Reproducibility: a second campaign with the same options agrees point
 	// for point, fault logs included.
-	dr2, _, err := RunDegraded(fig, ks, opts, CampaignOptions{Workers: 2})
+	drs2, _, err := RunDegraded([]Figure{fig}, ks, opts, CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dr.Points, dr2.Points) {
+	if !reflect.DeepEqual(dr.Points, drs2[0].Points) {
 		t.Fatal("degraded campaign is not reproducible across runs/worker counts")
 	}
 }

@@ -5,10 +5,9 @@ package experiments
 // is decommissioned — and measure what scale-out actually costs: the time
 // from a planned transition to its cutover, the data volume the throttled
 // copier moved, and the goodput dip the serving layer saw while the copy
-// competed with queries for the disks. The job decomposition mirrors
-// open.go: one harness job per (figure, strategy, initial-cluster-size)
-// point, canonical reassembly so output is byte-identical at any worker
-// count.
+// competed with queries for the disks. The swept axis is the initial
+// cluster size: one job per (figure, strategy, size) point on the campaign
+// engine (campaign.go).
 
 import (
 	"fmt"
@@ -173,8 +172,7 @@ func goodputDip(res gamma.ServeResult) float64 {
 // transition restaging the strategy's own placement at the new node count
 // (strategies that cannot build at a given count record a refusal instead
 // of failing the run). Telemetry is forced on — the goodput dip is read
-// from the windowed series — and results reassemble in canonical order so
-// campaign output is byte-identical whatever the worker count.
+// from the windowed series.
 func RunElastic(figs []Figure, opts Options, eopts ElasticOptions, copts CampaignOptions) (ElasticCampaign, error) {
 	opts = opts.withDefaults()
 	eopts = eopts.withDefaults(opts)
@@ -184,24 +182,27 @@ func RunElastic(figs []Figure, opts Options, eopts ElasticOptions, copts Campaig
 	if opts.TelemetryWindowMS <= 0 {
 		opts.TelemetryWindowMS = 250
 	}
-
-	rels := relationCache{}
-	builds := make([]figureBuild, 0, len(figs))
-	for _, fig := range figs {
-		// Placements are rebuilt per size below; buildFigure still supplies
-		// the shared relation, mix and construction notes.
-		fb, err := buildFigure(fig, rels, opts)
-		if err != nil {
-			return ElasticCampaign{}, err
-		}
-		builds = append(builds, fb)
+	// Placements are rebuilt per size inside each job; the build phase
+	// still supplies the shared relation, mix and construction notes.
+	builds, err := buildFigures(figs, opts)
+	if err != nil {
+		return ElasticCampaign{}, err
 	}
-
-	var jobs []harness.Job
-	for _, fb := range builds {
+	spec := OpenOptions{
+		Arrival:      eopts.Arrival,
+		Tenants:      eopts.Tenants,
+		SLOms:        eopts.SLOms,
+		MaxInService: eopts.MaxInService,
+		MaxQueue:     eopts.MaxQueue,
+		MaxSimTime:   eopts.MaxSimTime,
+	}.spec(eopts.Lambda, opts)
+	out := ElasticCampaign{Figures: make([]ElasticFigureResult, len(builds))}
+	var l jobList
+	for i, fb := range builds {
+		fr := &out.Figures[i]
+		*fr = ElasticFigureResult{Figure: fb.fig, Options: opts, Elastic: eopts, Notes: fb.notes}
 		for _, name := range fb.fig.Strategies {
 			for _, size := range eopts.Sizes {
-				fb, name, size := fb, name, size
 				sized := opts
 				sized.Processors = size
 				// Rebuild constructs this strategy's placement at whatever
@@ -212,88 +213,31 @@ func RunElastic(figs []Figure, opts Options, eopts ElasticOptions, copts Campaig
 					o.Processors = procs
 					return BuildPlacement(name, rel, fb.mix, o)
 				}
-				id := fmt.Sprintf("fig%s/%s/elastic%d", fb.fig.ID, name, size)
-				jobs = append(jobs, harness.Job{
-					ID:   id,
-					Seed: opts.Seed,
-					Run: func() (any, error) {
-						pl, err := BuildPlacement(name, fb.rel, fb.mix, sized)
-						if err != nil {
-							return nil, fmt.Errorf("figure %s/%s n=%d: %w", fb.fig.ID, name, size, err)
-						}
-						cfg := ConfigFor(sized).With(gamma.WithElastic(gamma.ElasticSpec{
-							Events:          eopts.events(),
-							RatePagesPerSec: eopts.MigrateRate,
-							Rebuild:         rebuild,
-						}))
-						machine, err := gamma.Build(fb.rel, pl, cfg)
-						if err != nil {
-							return nil, fmt.Errorf("figure %s/%s n=%d: %w", fb.fig.ID, name, size, err)
-						}
-						res, err := machine.RunServe(fb.mix, gamma.ServeSpec{
-							Arrival:        serve.ArrivalSpec{Kind: eopts.Arrival, RateQPS: eopts.Lambda},
-							Tenants:        serve.DefaultTenants(eopts.Tenants),
-							MaxInService:   eopts.MaxInService,
-							MaxQueue:       eopts.MaxQueue,
-							SLOms:          eopts.SLOms,
-							WarmupQueries:  opts.WarmupQueries,
-							MeasureQueries: opts.MeasureQueries,
-							MaxSimTime:     eopts.MaxSimTime,
-							Seed:           opts.Seed,
-						})
-						if err != nil {
-							return nil, fmt.Errorf("figure %s/%s n=%d: %w", fb.fig.ID, name, size, err)
-						}
-						if copts.Hub != nil && machine.Telemetry != nil {
-							copts.Hub.Register(id, machine.Telemetry)
-						}
-						return res, nil
-					},
-				})
+				cfg := ConfigFor(sized).With(gamma.WithElastic(gamma.ElasticSpec{
+					Events:          eopts.events(),
+					RatePagesPerSec: eopts.MigrateRate,
+					Rebuild:         rebuild,
+				}))
+				l.addServe(fmt.Sprintf("fig%s/%s/elastic%d", fb.fig.ID, name, size), fb,
+					func() (core.Placement, error) { return rebuild(fb.rel, size) }, cfg, spec, copts.Hub,
+					func(res gamma.ServeResult) { fr.Points = append(fr.Points, elasticPoint(name, size, res)) })
 			}
 		}
 	}
+	out.Manifest, err = l.run(copts)
+	return out, err
+}
 
-	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
-	})
-	if err != nil {
-		return ElasticCampaign{}, err
+// elasticPoint condenses one served point's rebalance report.
+func elasticPoint(strategy string, size int, res gamma.ServeResult) ElasticPoint {
+	pt := ElasticPoint{Strategy: strategy, Size: size, Result: res, GoodputDip: goodputDip(res)}
+	if rep := res.Rebalance; rep != nil {
+		pt.TimeToRebalance = rep.MaxRebalance()
+		pt.PagesMoved = rep.ReadPages + rep.WritePages
+		pt.BytesMoved = rep.BytesMoved
+		pt.Summary = rep.Summary()
 	}
-
-	out := ElasticCampaign{Manifest: manifest}
-	j := 0
-	for _, fb := range builds {
-		fr := ElasticFigureResult{Figure: fb.fig, Options: opts, Elastic: eopts, Notes: fb.notes}
-		for _, name := range fb.fig.Strategies {
-			for _, size := range eopts.Sizes {
-				out.Manifest.Reports[j].Arrival = eopts.Arrival.String()
-				out.Manifest.Reports[j].OfferedQPS = eopts.Lambda
-				if v := values[j]; v != nil {
-					res := v.(gamma.ServeResult)
-					out.Manifest.Reports[j].FaultEvents = len(res.FaultLog)
-					out.Manifest.Reports[j].TimeSeries = res.Series
-					out.Manifest.Reports[j].HotFragments = res.HotFragments
-					pt := ElasticPoint{Strategy: name, Size: size, Result: res}
-					if rep := res.Rebalance; rep != nil {
-						pt.TimeToRebalance = rep.MaxRebalance()
-						pt.PagesMoved = rep.ReadPages + rep.WritePages
-						pt.BytesMoved = rep.BytesMoved
-						pt.Summary = rep.Summary()
-					}
-					pt.GoodputDip = goodputDip(res)
-					fr.Points = append(fr.Points, pt)
-				}
-				j++
-			}
-		}
-		out.Figures = append(out.Figures, fr)
-	}
-	return out, manifest.Err()
+	return pt
 }
 
 // Point returns the measured result for a (strategy, size), or nil.

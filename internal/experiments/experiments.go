@@ -242,6 +242,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// runSpec is the closed-loop measurement of one MPL point.
+func (o Options) runSpec(mpl int) gamma.RunSpec {
+	return gamma.RunSpec{
+		MPL:            mpl,
+		WarmupQueries:  o.WarmupQueries,
+		MeasureQueries: o.MeasureQueries,
+		Seed:           o.Seed,
+	}
+}
+
 // Point is one measured (strategy, MPL) combination.
 type Point struct {
 	Strategy string

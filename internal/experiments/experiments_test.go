@@ -280,7 +280,7 @@ func TestScaleSweepShape(t *testing.T) {
 	sweep.Processors = []int{8, 32}
 	opts := QuickScale()
 	opts.MeasureQueries = 250
-	res, err := RunScaleSweep(sweep, opts)
+	res, _, err := RunScaleSweep(sweep, opts, CampaignOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

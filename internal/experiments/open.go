@@ -4,14 +4,14 @@ package experiments
 // offered load of an open arrival process and measure what each strategy
 // can actually serve — sustainable throughput (the goodput knee), tail
 // latency of admitted queries, and shed rate once the admission controller
-// starts refusing work. The job decomposition mirrors campaign.go: one
-// harness job per (figure, strategy, offered-load) point, shared read-only
-// builds, canonical reassembly so output is byte-identical at any worker
-// count.
+// starts refusing work. The swept axis is the offered load: one job per
+// (figure, strategy, offered-load) point on the campaign engine
+// (campaign.go).
 
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/gamma"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -83,102 +83,49 @@ type OpenCampaign struct {
 	Manifest harness.Manifest
 }
 
+// spec is the serving measurement of one offered load.
+func (o OpenOptions) spec(lambda float64, opts Options) gamma.ServeSpec {
+	return gamma.ServeSpec{
+		Arrival:        serve.ArrivalSpec{Kind: o.Arrival, RateQPS: lambda},
+		Tenants:        serve.DefaultTenants(o.Tenants),
+		MaxInService:   o.MaxInService,
+		MaxQueue:       o.MaxQueue,
+		SLOms:          o.SLOms,
+		WarmupQueries:  opts.WarmupQueries,
+		MeasureQueries: opts.MeasureQueries,
+		MaxSimTime:     o.MaxSimTime,
+		Seed:           opts.Seed,
+	}
+}
+
 // RunOpenSystem executes every (figure, strategy, lambda) combination on
-// the harness worker pool, exactly as RunCampaign does for MPL points.
-// Results reassemble in canonical order (figures as given, strategies in
-// figure order, lambdas in sweep order), so campaign output is
-// byte-identical whatever the worker count.
+// the harness worker pool, exactly as RunCampaign does for MPL points;
+// every manifest job report carries its arrival kind and offered load.
 func RunOpenSystem(figs []Figure, opts Options, oopts OpenOptions, copts CampaignOptions) (OpenCampaign, error) {
 	opts = opts.withDefaults()
 	oopts = oopts.withDefaults()
-	cfg := ConfigFor(opts)
-
-	rels := relationCache{}
-	builds := make([]figureBuild, 0, len(figs))
-	for _, fig := range figs {
-		fb, err := buildFigure(fig, rels, opts)
-		if err != nil {
-			return OpenCampaign{}, err
-		}
-		builds = append(builds, fb)
-	}
-
-	var jobs []harness.Job
-	for _, fb := range builds {
-		for si, name := range fb.fig.Strategies {
-			for _, lambda := range oopts.Lambdas {
-				fb, name, pl, lambda := fb, name, fb.placements[si], lambda
-				id := fmt.Sprintf("fig%s/%s/%s%g", fb.fig.ID, name, oopts.Arrival, lambda)
-				jobs = append(jobs, harness.Job{
-					ID:   id,
-					Seed: opts.Seed,
-					Run: func() (any, error) {
-						machine, err := gamma.Build(fb.rel, pl, cfg)
-						if err != nil {
-							return nil, fmt.Errorf("figure %s/%s: %w", fb.fig.ID, name, err)
-						}
-						res, err := machine.RunServe(fb.mix, gamma.ServeSpec{
-							Arrival:        serve.ArrivalSpec{Kind: oopts.Arrival, RateQPS: lambda},
-							Tenants:        serve.DefaultTenants(oopts.Tenants),
-							MaxInService:   oopts.MaxInService,
-							MaxQueue:       oopts.MaxQueue,
-							SLOms:          oopts.SLOms,
-							WarmupQueries:  opts.WarmupQueries,
-							MeasureQueries: opts.MeasureQueries,
-							MaxSimTime:     oopts.MaxSimTime,
-							Seed:           opts.Seed,
-						})
-						if err != nil {
-							return nil, fmt.Errorf("figure %s/%s λ=%g: %w", fb.fig.ID, name, lambda, err)
-						}
-						// Register after the run: RunServe resets the machine
-						// (rebuilding the sampler), so the pre-run pointer
-						// would be stale. Completed points accumulate on the
-						// hub and stay scrapeable after the campaign.
-						if copts.Hub != nil && machine.Telemetry != nil {
-							copts.Hub.Register(id, machine.Telemetry)
-						}
-						return res, nil
-					},
-				})
-			}
-		}
-	}
-
-	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
-	})
+	builds, err := buildFigures(figs, opts)
 	if err != nil {
 		return OpenCampaign{}, err
 	}
-
-	out := OpenCampaign{Manifest: manifest}
-	j := 0
-	for _, fb := range builds {
-		fr := OpenFigureResult{Figure: fb.fig, Options: opts, Open: oopts, Notes: fb.notes}
-		for _, name := range fb.fig.Strategies {
+	cfg := ConfigFor(opts)
+	out := OpenCampaign{Figures: make([]OpenFigureResult, len(builds))}
+	var l jobList
+	for i, fb := range builds {
+		fr := &out.Figures[i]
+		*fr = OpenFigureResult{Figure: fb.fig, Options: opts, Open: oopts, Notes: fb.notes}
+		for si, name := range fb.fig.Strategies {
+			place := func() (core.Placement, error) { return fb.placements[si], nil }
 			for _, lambda := range oopts.Lambdas {
-				out.Manifest.Reports[j].Arrival = oopts.Arrival.String()
-				out.Manifest.Reports[j].OfferedQPS = lambda
-				if v := values[j]; v != nil {
-					res := v.(gamma.ServeResult)
-					out.Manifest.Reports[j].FaultEvents = len(res.FaultLog)
-					out.Manifest.Reports[j].TimeSeries = res.Series
-					out.Manifest.Reports[j].HotFragments = res.HotFragments
-					fr.Points = append(fr.Points, OpenPoint{
-						Strategy: name, Lambda: lambda, Result: res,
+				l.addServe(fmt.Sprintf("fig%s/%s/%s%g", fb.fig.ID, name, oopts.Arrival, lambda), fb, place, cfg,
+					oopts.spec(lambda, opts), copts.Hub, func(res gamma.ServeResult) {
+						fr.Points = append(fr.Points, OpenPoint{Strategy: name, Lambda: lambda, Result: res})
 					})
-				}
-				j++
 			}
 		}
-		out.Figures = append(out.Figures, fr)
 	}
-	return out, manifest.Err()
+	out.Manifest, err = l.run(copts)
+	return out, err
 }
 
 // Point returns the measured result for a (strategy, lambda), or nil.

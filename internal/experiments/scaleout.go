@@ -48,86 +48,37 @@ type ScaleResult struct {
 	Points []ScalePoint
 }
 
-// RunScaleSweep executes the sweep serially: a workers=1 campaign over the
-// same job set RunScaleSweepParallel spreads across the pool.
-func RunScaleSweep(sweep ScaleSweep, opts Options) (ScaleResult, error) {
-	res, _, err := RunScaleSweepParallel(sweep, opts, CampaignOptions{Workers: 1})
-	return res, err
-}
-
-// RunScaleSweepParallel executes the sweep's (processors, strategy) jobs on
-// the harness worker pool. opts.Processors and opts.MPLs are ignored (the
-// sweep sets both); the other options scale the workload. The generated
-// relation depends only on (cardinality, correlation, seed), so one build
-// is shared — read-only — by every machine size; placements are built once
-// per (processors, strategy). Points come back in the serial order
-// (machine sizes as given, strategies within), byte-identical whatever the
-// worker count.
-func RunScaleSweepParallel(sweep ScaleSweep, opts Options, copts CampaignOptions) (ScaleResult, harness.Manifest, error) {
+// RunScaleSweep executes the sweep's (processors, strategy) jobs on the
+// campaign engine. opts.Processors and opts.MPLs are ignored (the sweep
+// sets both); the other options scale the workload. The generated relation
+// depends only on (cardinality, correlation, seed), so one build is shared
+// — read-only — by every machine size; placements are built once per
+// (processors, strategy). Points come back in sweep order (machine sizes as
+// given, strategies within), byte-identical whatever the worker count.
+func RunScaleSweep(sweep ScaleSweep, opts Options, copts CampaignOptions) (ScaleResult, harness.Manifest, error) {
 	opts = opts.withDefaults()
 	out := ScaleResult{Sweep: sweep}
-
+	fig := Figure{Mix: sweep.Mix, Correlation: sweep.Correlation, Strategies: sweep.Strategies}
 	rels := relationCache{}
-	rel := rels.get(opts.Cardinality, sweep.Correlation.window(opts.Cardinality), opts.Seed)
-	mix := sweep.Mix(opts.Cardinality)
-
-	var jobs []harness.Job
+	var l jobList
 	for _, procs := range sweep.Processors {
 		o := opts
 		o.Processors = procs
 		o.Config = nil
+		fb, err := buildFigure(fig, rels, o)
+		if err != nil {
+			return out, harness.Manifest{}, fmt.Errorf("scale sweep P=%d: %w", procs, err)
+		}
 		cfg := ConfigFor(o)
-		for _, name := range sweep.Strategies {
-			pl, err := BuildPlacement(name, rel, mix, o)
-			if err != nil {
-				return out, harness.Manifest{}, fmt.Errorf("scale sweep %s/P=%d: %w", name, procs, err)
-			}
-			jobs = append(jobs, harness.Job{
-				ID:   fmt.Sprintf("scaleout/%s/p%d", name, procs),
-				Seed: o.Seed,
-				Run: func() (any, error) {
-					machine, err := gamma.Build(rel, pl, cfg)
-					if err != nil {
-						return nil, fmt.Errorf("scale sweep %s/P=%d: %w", name, procs, err)
-					}
-					res, err := machine.Run(mix, gamma.RunSpec{
-						MPL:            2 * procs,
-						WarmupQueries:  o.WarmupQueries,
-						MeasureQueries: o.MeasureQueries,
-						Seed:           o.Seed,
-					})
-					if err != nil {
-						return nil, fmt.Errorf("scale sweep %s/P=%d: %w", name, procs, err)
-					}
-					return res, nil
-				},
-			})
-		}
-	}
-
-	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
-	})
-	if err != nil {
-		return out, manifest, err
-	}
-
-	j := 0
-	for _, procs := range sweep.Processors {
-		for _, name := range sweep.Strategies {
-			if v := values[j]; v != nil {
-				out.Points = append(out.Points, ScalePoint{
-					Strategy: name, Processors: procs, Result: v.(gamma.RunResult),
+		for si, name := range sweep.Strategies {
+			l.addRun(fmt.Sprintf("scaleout/%s/p%d", name, procs), fb, fb.placements[si], cfg,
+				o.runSpec(2*procs), func(res gamma.RunResult) {
+					out.Points = append(out.Points, ScalePoint{Strategy: name, Processors: procs, Result: res})
 				})
-			}
-			j++
 		}
 	}
-	return out, manifest, manifest.Err()
+	manifest, err := l.run(copts)
+	return out, manifest, err
 }
 
 // Throughput returns the measured throughput for (strategy, processors).

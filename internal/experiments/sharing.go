@@ -50,26 +50,23 @@ type SharingResult struct {
 	Points   []SharingPoint
 }
 
-// RunSharing sweeps the figure's strategies across the MPL sweep, once with
-// sharing off and once with the shared-scan manager armed at windowMS
-// (<= 0 selects the gamma default window), both under the hot-spot overlay.
-// Jobs run on the harness pool exactly like a figure campaign. The sharing
-// campaign is its own mode, so fault options are rejected up front (the
-// machine layer composes sharing with faults; the campaign does not).
-func RunSharing(fig Figure, windowMS float64, opts Options, copts CampaignOptions) (SharingResult, harness.Manifest, error) {
+// RunSharing sweeps each figure's strategies across the MPL sweep, once
+// with sharing off and once with the shared-scan manager armed at windowMS
+// (<= 0 selects the gamma default window), both under the hot-spot
+// overlay, returning one result per figure. Jobs run on the campaign
+// engine like a figure campaign. The sharing campaign is its own mode, so
+// fault options are rejected up front (the machine layer composes sharing
+// with faults; the campaign does not).
+func RunSharing(figs []Figure, windowMS float64, opts Options, copts CampaignOptions) ([]SharingResult, harness.Manifest, error) {
 	opts = opts.withDefaults()
-	out := SharingResult{Figure: fig, Options: opts, WindowMS: windowMS}
 	if opts.Faults != nil || opts.ChainedReplicas {
-		return out, harness.Manifest{}, fmt.Errorf(
+		return nil, harness.Manifest{}, fmt.Errorf(
 			"experiments: sharing campaign is mutually exclusive with faults/replicas (one campaign mode per run)")
 	}
-
-	rels := relationCache{}
-	fb, err := buildFigure(fig, rels, opts)
+	builds, err := buildFigures(figs, opts)
 	if err != nil {
-		return out, harness.Manifest{}, err
+		return nil, harness.Manifest{}, err
 	}
-	hot := fb.mix.WithHotSpot(SharingHotProb, SharingHotFrac)
 
 	offCfg := ConfigFor(opts)
 	// Sharing targets Table 2's disk-bound regime: with the default pool
@@ -84,67 +81,32 @@ func RunSharing(fig Figure, windowMS float64, opts Options, copts CampaignOption
 	onCfg := ConfigFor(onOpts)
 	onCfg.BufferPages = offCfg.BufferPages
 
-	var jobs []harness.Job
-	for si, name := range fb.fig.Strategies {
-		for _, share := range []bool{false, true} {
-			cfg, tag := offCfg, "off"
-			if share {
-				cfg, tag = onCfg, "on"
+	out := make([]SharingResult, len(builds))
+	var l jobList
+	for i, fb := range builds {
+		sr := &out[i]
+		*sr = SharingResult{Figure: fb.fig, Options: opts, WindowMS: windowMS}
+		fb.mix = fb.mix.WithHotSpot(SharingHotProb, SharingHotFrac)
+		for si, name := range fb.fig.Strategies {
+			// Each strategy's off jobs precede its on jobs, so an on run
+			// files after its off baseline and completes the point.
+			off := make([]*gamma.RunResult, len(opts.MPLs))
+			for mi, mpl := range opts.MPLs {
+				l.addRun(fmt.Sprintf("fig%s/%s/off/mpl%d", fb.fig.ID, name, mpl), fb, fb.placements[si], offCfg,
+					opts.runSpec(mpl), func(res gamma.RunResult) { off[mi] = &res })
 			}
-			for _, mpl := range opts.MPLs {
-				name, mpl, cfg, tag, pl := name, mpl, cfg, tag, fb.placements[si]
-				jobs = append(jobs, harness.Job{
-					ID:   fmt.Sprintf("sharing/%s/%s/mpl%d", name, tag, mpl),
-					Seed: opts.Seed,
-					Run: func() (any, error) {
-						machine, err := gamma.Build(fb.rel, pl, cfg)
-						if err != nil {
-							return nil, fmt.Errorf("sharing %s/%s: %w", name, tag, err)
+			for mi, mpl := range opts.MPLs {
+				l.addRun(fmt.Sprintf("fig%s/%s/on/mpl%d", fb.fig.ID, name, mpl), fb, fb.placements[si], onCfg,
+					opts.runSpec(mpl), func(res gamma.RunResult) {
+						if off[mi] != nil {
+							sr.Points = append(sr.Points, SharingPoint{Strategy: name, MPL: mpl, Off: *off[mi], On: res})
 						}
-						res, err := machine.Run(hot, gamma.RunSpec{
-							MPL:            mpl,
-							WarmupQueries:  opts.WarmupQueries,
-							MeasureQueries: opts.MeasureQueries,
-							Seed:           opts.Seed,
-						})
-						if err != nil {
-							return nil, fmt.Errorf("sharing %s/%s MPL %d: %w", name, tag, mpl, err)
-						}
-						return res, nil
-					},
-				})
+					})
 			}
 		}
 	}
-
-	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
-	})
-	if err != nil {
-		return out, manifest, err
-	}
-
-	j := 0
-	for _, name := range fb.fig.Strategies {
-		offAt := j
-		onAt := j + len(opts.MPLs)
-		for mi, mpl := range opts.MPLs {
-			off, on := values[offAt+mi], values[onAt+mi]
-			if off == nil || on == nil {
-				continue
-			}
-			out.Points = append(out.Points, SharingPoint{
-				Strategy: name, MPL: mpl,
-				Off: off.(gamma.RunResult), On: on.(gamma.RunResult),
-			})
-		}
-		j += 2 * len(opts.MPLs)
-	}
-	return out, manifest, manifest.Err()
+	manifest, err := l.run(copts)
+	return out, manifest, err
 }
 
 // MaxSaved returns the campaign's best per-query disk-read saving and the

@@ -16,10 +16,11 @@ func TestRunSharingSavesReads(t *testing.T) {
 	}
 	opts := QuickScale()
 	opts.MPLs = []int{8}
-	sr, manifest, err := RunSharing(fig, 0, opts, CampaignOptions{Workers: 2})
+	srs, manifest, err := RunSharing([]Figure{fig}, 0, opts, CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sr := srs[0]
 	if len(manifest.Reports) != 2*len(fig.Strategies) {
 		t.Fatalf("manifest has %d jobs, want %d", len(manifest.Reports), 2*len(fig.Strategies))
 	}
@@ -53,7 +54,7 @@ func TestRunSharingRejectsFaults(t *testing.T) {
 	}
 	opts := QuickScale()
 	opts.ArmFaults(KillSpec(1, opts.Processors), true)
-	if _, _, err := RunSharing(fig, 0, opts, CampaignOptions{}); err == nil ||
+	if _, _, err := RunSharing([]Figure{fig}, 0, opts, CampaignOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "one campaign mode per run") {
 		t.Fatalf("RunSharing with faults err = %v, want one-campaign-mode error", err)
 	}
