@@ -194,15 +194,19 @@ func TestNodePanicsOnUnknownMessage(t *testing.T) {
 	}
 }
 
-func TestHostPanicsOnUnknownQueryResult(t *testing.T) {
+func TestHostCountsUnknownQueryResultAsOrphan(t *testing.T) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
 	r := newRig(t, core.NewRangeForRelation(rel, storage.Unique1, 2))
 	r.eng.Spawn("rogue", func(p *sim.Proc) {
 		r.net.Send(p, nil, hw.Message{From: 0, To: 2, Bytes: 100,
 			Payload: opResult{QueryID: 777, Node: 0}})
 	})
-	if err := r.eng.RunUntil(sim.Time(10 * sim.Second)); err == nil {
-		t.Fatal("orphan result should surface as an error")
+	if err := r.eng.RunUntil(sim.Time(10 * sim.Second)); err != nil {
+		t.Fatalf("a reply for an ended query must not fail the run: %v", err)
+	}
+	if r.host.Degraded != nil || r.host.Orphans != 1 {
+		t.Fatalf("fault-free host (degraded=%v) counted %d orphans, want 1",
+			r.host.Degraded != nil, r.host.Orphans)
 	}
 }
 

@@ -264,15 +264,14 @@ func (h *Host) Start() {
 			}
 			mb, ok := h.pending[qid]
 			if !ok {
-				if h.Degraded != nil {
-					// Late or duplicated reply for a query the scheduler
-					// already finished (or abandoned) — expected under
-					// timeouts, crashes and message duplication.
-					h.Orphans++
-					h.orphanC.Inc()
-					continue
-				}
-				panic(fmt.Sprintf("exec: host: result for unknown query %d", qid))
+				// Late or duplicated reply for a query the scheduler
+				// already finished (or abandoned): expected under timeouts,
+				// crashes and message duplication, and without faults when
+				// one node refuses a query while its other operators are
+				// still answering.
+				h.Orphans++
+				h.orphanC.Inc()
+				continue
 			}
 			mb.Put(m.Payload)
 		}

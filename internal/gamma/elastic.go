@@ -77,27 +77,30 @@ func (io elasticIO) WritePage(p *sim.Proc, node, page int) error {
 	return io.nodes[node].Disk.Write(p, page)
 }
 
-// stagedRelation is one relation's next-generation layout, computed at
-// Prepare and committed at Cutover.
-type stagedRelation struct {
-	placement  core.Placement
-	fragTuples map[int][]storage.Tuple
-	auxByAttr  map[int]map[int][]storage.AuxEntry
-}
-
 // elasticExec implements rebalance.Executor over the machine: Prepare
 // stages the complete next-generation layout on the member nodes (old
 // generation keeps serving) and returns the minimal page-move plan;
 // Cutover atomically installs it everywhere. Both run on the controller's
-// process between sim yields.
+// process between sim yields. The executor is per run and holds all the
+// generation state, so every run starts from the machine's built layout.
 type elasticExec struct {
 	m *Machine
-	// topo maps placement slot -> physical node for the serving
-	// generation; starts as the identity over the initial membership.
-	topo []int
-	// staged holds each relation's next-generation layout between Prepare
-	// and Cutover, keyed by relation name.
-	staged map[string]*stagedRelation
+	// serving and staged hold every relation's serving and next
+	// generation, in machine order; serving starts at the built layout.
+	serving, staged []*relationEntry
+	// allocs are this run's copies of the machine's allocators, which
+	// staged generations take their pages from.
+	allocs []*storage.Allocator
+}
+
+// newElasticExec starts a run's executor at the built layout.
+func newElasticExec(m *Machine) *elasticExec {
+	x := &elasticExec{m: m, serving: m.relations}
+	for _, a := range m.allocs {
+		run := *a
+		x.allocs = append(x.allocs, &run)
+	}
+	return x
 }
 
 // Prepare rebuilds every relation's placement at the new membership size,
@@ -109,167 +112,87 @@ type elasticExec struct {
 // documented in DESIGN.md §13.
 func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 	m := x.m
-	cfg := m.Cfg
 	nNew := len(t.Members)
-	x.staged = make(map[string]*stagedRelation, len(m.relations))
+	x.staged = make([]*relationEntry, 0, len(x.serving))
 	var plan rebalance.Plan
-	for _, entry := range m.relations {
-		newPl, err := cfg.Elastic.Rebuild(entry.rel, nNew)
+	for _, entry := range x.serving {
+		name := entry.rel.Name
+		newPl, err := m.Cfg.Elastic.Rebuild(entry.rel, nNew)
 		if err != nil {
-			return rebalance.Plan{}, fmt.Errorf("gamma: rebuild %s at %d nodes: %w", entry.rel.Name, nNew, err)
+			return rebalance.Plan{}, fmt.Errorf("gamma: rebuild %s at %d nodes: %w", name, nNew, err)
 		}
 		if newPl.Processors() != nNew {
 			return rebalance.Plan{}, fmt.Errorf("gamma: rebuild %s returned a %d-processor placement, want %d",
-				entry.rel.Name, newPl.Processors(), nNew)
+				name, newPl.Processors(), nNew)
 		}
-		ne, err := distribute(entry.rel, newPl)
+		ne, err := m.Cfg.layout(entry.rel, newPl, t.Members, x.allocs)
 		if err != nil {
 			return rebalance.Plan{}, err
 		}
-		x.staged[entry.rel.Name] = &stagedRelation{
-			placement:  newPl,
-			fragTuples: ne.fragTuples,
-			auxByAttr:  ne.auxByAttr,
-		}
+		x.staged = append(x.staged, ne)
+		m.attach(ne, true)
 
-		// Locate every tuple's serving copy: old slot -> physical node via
-		// the current topology, page via the fragment layout.
+		// Locate every tuple's serving copy: its primary's node and page.
 		type loc struct{ node, page int }
 		oldLoc := make(map[int64]loc, len(entry.rel.Tuples))
-		for _, phys := range x.topo {
-			frag := m.Nodes[phys].Fragment(entry.rel.Name)
-			if frag == nil {
-				continue
-			}
-			for i, tup := range frag.Tuples {
-				oldLoc[tup.TID] = loc{node: phys, page: frag.DataPageOfSlot(i)}
+		for _, l := range entry.primary {
+			for i, tup := range l.frag.Tuples {
+				oldLoc[tup.TID] = loc{node: l.node, page: l.frag.DataPageOfSlot(i)}
 			}
 		}
 
-		// Stage the next generation's primary fragments and collect the
-		// tuples whose physical home changes.
+		// Collect the staged primaries' tuples whose physical home changes.
 		var moves []rebalance.TupleMove
-		newFrags := make([]*storage.Fragment, nNew)
-		for slot := 0; slot < nNew; slot++ {
-			phys := t.Members[slot]
-			alloc := m.allocs[phys]
-			frag := storage.BuildFragment(slot, ne.fragTuples[slot], cfg.ClusteredAttr, cfg.Layout, alloc)
-			frag.AddIndex(cfg.ClusteredAttr, alloc)
-			for _, a := range cfg.NonClusteredAttrs {
-				frag.AddIndex(a, alloc)
-			}
-			m.Nodes[phys].StageFragment(entry.rel.Name, frag)
-			m.attachFragHeat(entry.rel.Name, phys, frag, false)
-			newFrags[slot] = frag
-			for i, tup := range frag.Tuples {
+		for _, l := range ne.primary {
+			for i, tup := range l.frag.Tuples {
 				old, ok := oldLoc[tup.TID]
 				if !ok {
-					return rebalance.Plan{}, fmt.Errorf("gamma: tuple %d of %s has no serving copy", tup.TID, entry.rel.Name)
+					return rebalance.Plan{}, fmt.Errorf("gamma: tuple %d of %s has no serving copy", tup.TID, name)
 				}
-				if old.node == phys {
+				if old.node == l.node {
 					continue // same-node re-layout: no cross-node I/O
 				}
 				moves = append(moves, rebalance.TupleMove{
-					Src: old.node, Dst: phys,
-					SrcPage: old.page, DstPage: frag.DataPageOfSlot(i),
+					Src: old.node, Dst: l.node,
+					SrcPage: old.page, DstPage: l.frag.DataPageOfSlot(i),
 				})
-			}
-			for attr, perProc := range ne.auxByAttr {
-				aux := storage.BuildAux(slot, perProc[slot], cfg.Layout, alloc)
-				m.Nodes[phys].StageAux(entry.rel.Name, attr, aux)
-				m.attachAuxHeat(entry.rel.Name, phys, aux)
 			}
 		}
 		plan.Merge(rebalance.BuildPlan(moves))
 
-		// Chain replicas for the new membership: rebuild every slot's
-		// backup on its chain successor's physical node. The replica copy
-		// reads the staged primary's data pages — the planner appends these
-		// moves after the primaries, and the copier runs moves in plan
+		// Chain replicas for the new membership: every slot's backup is
+		// copied from the staged primary's data pages — the planner appends
+		// these moves after the primaries, and the copier runs moves in plan
 		// order, so the primary pages have landed first.
-		if cfg.ChainedReplicas {
-			var repl []rebalance.TupleMove
-			for slot := 0; slot < nNew; slot++ {
-				b := core.ChainBackup(slot, nNew)
-				if b < 0 {
-					continue
-				}
-				phys := t.Members[b]
-				alloc := m.allocs[phys]
-				frag := storage.BuildFragment(slot, ne.fragTuples[slot], cfg.ClusteredAttr, cfg.Layout, alloc)
-				frag.AddIndex(cfg.ClusteredAttr, alloc)
-				for _, a := range cfg.NonClusteredAttrs {
-					frag.AddIndex(a, alloc)
-				}
-				m.Nodes[phys].StageBackupFragment(entry.rel.Name, frag)
-				m.attachFragHeat(entry.rel.Name, phys, frag, true)
-				src := t.Members[slot]
-				primary := newFrags[slot]
-				for i := range frag.Tuples {
-					repl = append(repl, rebalance.TupleMove{
-						Src: src, Dst: phys,
-						SrcPage: primary.DataPageOfSlot(i), DstPage: frag.DataPageOfSlot(i),
-					})
-				}
-				for attr, perProc := range ne.auxByAttr {
-					aux := storage.BuildAux(slot, perProc[slot], cfg.Layout, alloc)
-					m.Nodes[phys].StageBackupAux(entry.rel.Name, attr, aux)
-					m.attachAuxHeat(entry.rel.Name, phys, aux)
-				}
+		var repl []rebalance.TupleMove
+		for _, l := range ne.backup {
+			primary := ne.primary[l.frag.Node]
+			for i := range l.frag.Tuples {
+				repl = append(repl, rebalance.TupleMove{
+					Src: primary.node, Dst: l.node,
+					SrcPage: primary.frag.DataPageOfSlot(i), DstPage: l.frag.DataPageOfSlot(i),
+				})
 			}
-			plan.Merge(rebalance.BuildPlan(repl))
 		}
+		plan.Merge(rebalance.BuildPlan(repl))
 	}
 	return plan, nil
 }
 
 // Cutover installs the staged generation: every node flips its placement
 // maps, the host repoints each relation at its new placement and adopts
-// the new slot->node topology, and the machine's relation entries advance
-// so a subsequent Prepare plans from the new layout.
+// the new slot->node topology, and the executor advances so a subsequent
+// Prepare plans from the new layout.
 func (x *elasticExec) Cutover(t rebalance.Transition) {
 	m := x.m
 	for _, n := range m.Nodes {
 		n.CutoverPlacement(t.Gen)
 	}
-	for _, entry := range m.relations {
-		ne := x.staged[entry.rel.Name]
-		entry.placement = ne.placement
-		entry.fragTuples = ne.fragTuples
-		entry.auxByAttr = ne.auxByAttr
-		m.Host.SetPlacement(entry.rel.Name, ne.placement)
+	for _, e := range x.staged {
+		m.Host.SetPlacement(e.rel.Name, e.placement)
 	}
 	m.Host.SetTopology(append([]int(nil), t.Members...), t.Gen)
-	x.topo = append([]int(nil), t.Members...)
-	x.staged = nil
-}
-
-// attachFragHeat wires a staged fragment into the heat map (no-op when
-// heat accounting is off). The accumulator is keyed by physical node, so
-// a fragment migrating between nodes shows up as heat moving with it —
-// which is what keeps querytrace -frags and plan explain in agreement
-// mid-rebalance.
-func (m *Machine) attachFragHeat(relation string, phys int, frag *storage.Fragment, backup bool) {
-	if m.Heat == nil {
-		return
-	}
-	kind := obs.FragPrimary
-	if backup {
-		kind = obs.FragBackup
-	}
-	fh := m.Heat.Frag(relation, phys, kind)
-	fh.AddSize(int64(frag.FootprintPages()))
-	m.Nodes[phys].AttachHeat(relation, kind, fh)
-}
-
-// attachAuxHeat does the same for a staged BERD auxiliary.
-func (m *Machine) attachAuxHeat(relation string, phys int, aux *storage.AuxFragment) {
-	if m.Heat == nil {
-		return
-	}
-	ah := m.Heat.Frag(relation, phys, obs.FragAux)
-	ah.AddSize(int64(aux.FootprintPages()))
-	m.Nodes[phys].AttachHeat(relation, obs.FragAux, ah)
+	x.serving, x.staged = x.staged, nil
 }
 
 // registerRebalanceSeries adds migration telemetry to the sampler: the

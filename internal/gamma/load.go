@@ -39,7 +39,7 @@ func (r LoadResult) String() string {
 // SimulateLoad measures the declustering cost of this machine's placement.
 // It resets the machine afterwards so subsequent Runs start clean.
 func (m *Machine) SimulateLoad() (LoadResult, error) {
-	m.reset()
+	m.Reset()
 	cfg := m.Cfg
 	eng := m.Eng
 	params := cfg.HW
@@ -89,8 +89,9 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 		// Shipping: every tuple crosses the network to its home (tuples
 		// landing on node 0 stay local). Modeled as the bulk packet count
 		// per destination rather than per-tuple sends.
-		for node := 1; node < len(m.Nodes); node++ { // fixed order: determinism
-			bytes := params.TupleBytes(len(m.relations[0].fragTuples[node]))
+		slots := m.relations[0].primary
+		for node := 1; node < len(slots); node++ { // fixed order: determinism
+			bytes := params.TupleBytes(slots[node].frag.NumTuples())
 			if bytes == 0 {
 				continue
 			}
@@ -128,7 +129,7 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 	}
 	res.Elapsed = sim.Duration(eng.Now())
 	res.PacketsShipped = m.totalPacketsSent() - packetsBefore
-	m.reset() // leave the machine clean for measurement runs
+	m.Reset() // leave the machine clean for measurement runs
 	return res, simErr
 }
 

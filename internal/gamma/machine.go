@@ -111,18 +111,30 @@ func DefaultConfig() Config {
 	}
 }
 
-// relationEntry is one declustered relation of the machine.
+// relationEntry is one declustered relation and its storage for one
+// placement generation: the primaries by slot and any chain replicas in
+// slot order. The machine's entries are laid out once and read-only after.
 type relationEntry struct {
-	rel        *storage.Relation
-	placement  core.Placement
-	fragTuples map[int][]storage.Tuple
-	auxByAttr  map[int]map[int][]storage.AuxEntry
+	rel       *storage.Relation
+	placement core.Placement
+	primary   []slotLayout
+	backup    []slotLayout
+}
+
+// slotLayout is one slot's storage on a physical node: the fragment (whose
+// Node is the slot) with its indexes, and BERD auxiliaries by attribute.
+type slotLayout struct {
+	node int
+	frag *storage.Fragment
+	aux  map[int]*storage.AuxFragment
 }
 
 // Machine is one assembled simulation instance: build it with Build (and
 // optionally AddRelation), then call Run (repeatedly, with increasing MPL
 // if desired — each Run uses a fresh engine). Relation and Placement refer
-// to the primary relation, which Run's workload targets.
+// to the primary relation, which Run's workload targets. Storage is laid
+// out from Cfg when a relation is added; changing Cfg's layout, index or
+// replica settings afterwards does not re-lay it.
 type Machine struct {
 	Cfg       Config
 	Relation  *storage.Relation
@@ -153,99 +165,182 @@ type Machine struct {
 	Rebalancer *rebalance.Controller
 
 	relations []*relationEntry
-	// allocs are the per-physical-node page allocators, retained so
-	// elastic transitions can stage next-generation fragments on the same
-	// disks the build laid out.
+	// allocs are the per-physical-node page allocators (standbys included)
+	// as the layout left them; elastic staging allocates from per-run copies.
 	allocs []*storage.Allocator
 }
 
-// distribute assigns every tuple its home processor and builds the BERD
-// auxiliary assignments when applicable.
-func distribute(rel *storage.Relation, placement core.Placement) (*relationEntry, error) {
+// distribute splits the relation's tuples by home slot, in relation order,
+// into exact-size slices of one array sized by a counting pass, and builds
+// the BERD auxiliary assignments when applicable.
+func distribute(rel *storage.Relation, placement core.Placement) ([][]storage.Tuple, map[int]map[int][]storage.AuxEntry, error) {
 	p := placement.Processors()
-	e := &relationEntry{
-		rel:        rel,
-		placement:  placement,
-		fragTuples: make(map[int][]storage.Tuple, p),
-	}
-	for _, t := range rel.Tuples {
+	homes := make([]int, len(rel.Tuples))
+	counts := make([]int, p)
+	for i, t := range rel.Tuples {
 		home := placement.HomeOf(t)
 		if home < 0 || home >= p {
-			return nil, fmt.Errorf("gamma: placement sent tuple %d to processor %d of %d",
+			return nil, nil, fmt.Errorf("gamma: placement sent tuple %d to processor %d of %d",
 				t.TID, home, p)
 		}
-		e.fragTuples[home] = append(e.fragTuples[home], t)
+		homes[i] = home
+		counts[home]++
 	}
+	all := make([]storage.Tuple, len(rel.Tuples))
+	slots := make([][]storage.Tuple, p)
+	off := 0
+	for s, n := range counts {
+		slots[s] = all[off : off : off+n]
+		off += n
+	}
+	for i, t := range rel.Tuples {
+		slots[homes[i]] = append(slots[homes[i]], t)
+	}
+	var aux map[int]map[int][]storage.AuxEntry
 	if berd, ok := placement.(*core.BERDPlacement); ok {
-		e.auxByAttr = berd.AuxAssignments(rel)
+		aux = berd.AuxAssignments(rel)
+	}
+	return slots, aux, nil
+}
+
+// layout declusters rel by placement and lays out slot s's primary on node
+// members[s], then under chained declustering each slot's replica on its
+// chain successor. Build passes slot i -> node i, elastic staging the new
+// membership.
+func (c *Config) layout(rel *storage.Relation, placement core.Placement, members []int, allocs []*storage.Allocator) (*relationEntry, error) {
+	tuples, aux, err := distribute(rel, placement)
+	if err != nil {
+		return nil, err
+	}
+	e := &relationEntry{rel: rel, placement: placement}
+	for s, phys := range members {
+		e.primary = append(e.primary, c.layoutSlot(s, tuples[s], aux, phys, allocs[phys]))
+	}
+	// The replica holds the same tuples keyed by the same slot, so a
+	// rerouted operator returns the identical result.
+	for s := 0; c.ChainedReplicas && s < len(members); s++ {
+		if b := core.ChainBackup(s, len(members)); b >= 0 {
+			e.backup = append(e.backup, c.layoutSlot(s, tuples[s], aux, members[b], allocs[members[b]]))
+		}
 	}
 	return e, nil
 }
 
+// layoutSlot lays out one slot on its node's allocator: the fragment, its
+// clustered and non-clustered indexes, then its BERD auxiliaries.
+func (c *Config) layoutSlot(slot int, tuples []storage.Tuple, aux map[int]map[int][]storage.AuxEntry, node int, alloc *storage.Allocator) slotLayout {
+	frag := storage.BuildFragment(slot, tuples, c.ClusteredAttr, c.Layout, alloc)
+	frag.AddIndex(c.ClusteredAttr, alloc)
+	for _, a := range c.NonClusteredAttrs {
+		frag.AddIndex(a, alloc)
+	}
+	l := slotLayout{node: node, frag: frag, aux: make(map[int]*storage.AuxFragment, len(aux))}
+	for attr, perProc := range aux {
+		l.aux[attr] = storage.BuildAux(slot, perProc[slot], c.Layout, alloc)
+	}
+	return l
+}
+
+// catalogInfo builds a laid-out relation's System Catalog entry
+// (Figure 7): per-disk tuple/page counts and index metadata.
+func (c *Config) catalogInfo(e *relationEntry) *catalog.RelationInfo {
+	info := &catalog.RelationInfo{
+		Name:        e.rel.Name,
+		Cardinality: e.rel.Cardinality(),
+		Placement:   e.placement,
+		Nodes:       make(map[int]catalog.NodeStats, len(e.primary)),
+	}
+	for i, l := range e.primary {
+		ns := catalog.NodeStats{Tuples: l.frag.NumTuples(), DataPages: l.frag.NumDataPages()}
+		for _, attr := range append([]int{c.ClusteredAttr}, c.NonClusteredAttrs...) {
+			ix := l.frag.Index(attr)
+			ns.Indexes = append(ns.Indexes, catalog.IndexInfo{
+				Attr:      attr,
+				Name:      storage.AttrName(attr),
+				Clustered: ix.Clustered,
+				Pages:     ix.Tree.Pages(),
+				Height:    ix.Tree.Height(),
+			})
+		}
+		for _, aux := range l.aux {
+			ns.AuxEntries += aux.Entries
+			ns.AuxPages += aux.Tree.Pages()
+		}
+		info.Nodes[i] = ns
+	}
+	return info
+}
+
 // Build declusters the relation according to the placement and constructs
-// the machine. The expensive parts (tuple distribution, BERD auxiliary
-// construction) happen once; the simulation engine itself is rebuilt per
-// Run so successive runs are independent.
+// the machine, laying out the relation's storage and catalog entry once
+// (see AddRelation); each run rebuilds only the engine around them.
 func Build(rel *storage.Relation, placement core.Placement, cfg Config) (*Machine, error) {
-	if err := cfg.Validate(placement.Processors()); err != nil {
+	p := placement.Processors()
+	if err := cfg.Validate(p); err != nil {
 		return nil, err
 	}
-	entry, err := distribute(rel, placement)
-	if err != nil {
-		return nil, err
+	// One standby node per scheduled Join; standbys start empty.
+	pPhys := p
+	if cfg.Elastic != nil {
+		pPhys += cfg.Elastic.schedule().Joins()
 	}
 	m := &Machine{
 		Cfg:       cfg,
 		Relation:  rel,
 		Placement: placement,
-		relations: []*relationEntry{entry},
+		Catalog:   catalog.New(),
+		allocs:    make([]*storage.Allocator, pPhys),
 	}
-	m.reset()
+	for i := range m.allocs {
+		m.allocs[i] = storage.NewAllocator(cfg.HW.PagesPerDisk())
+	}
+	if err := m.AddRelation(rel, placement); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
 // AddRelation declusters a further relation onto the same machine (its
-// placement must span the same processors) and rebuilds the simulation
-// state. Relation names must be unique.
+// placement must span the same processors), lays out its storage and
+// catalog entry, and resets the simulation state. Names must be unique.
 func (m *Machine) AddRelation(rel *storage.Relation, placement core.Placement) error {
 	if placement.Processors() != m.Placement.Processors() {
 		return fmt.Errorf("gamma: relation %s declustered over %d processors, machine has %d",
 			rel.Name, placement.Processors(), m.Placement.Processors())
 	}
-	for _, e := range m.relations {
-		if e.rel.Name == rel.Name {
-			return fmt.Errorf("gamma: relation %s already on the machine", rel.Name)
-		}
+	if _, dup := m.Catalog.Lookup(rel.Name); dup {
+		return fmt.Errorf("gamma: relation %s already on the machine", rel.Name)
 	}
-	entry, err := distribute(rel, placement)
+	members := make([]int, placement.Processors()) // slot i on node i
+	for i := range members {
+		members[i] = i
+	}
+	e, err := m.Cfg.layout(rel, placement, members, m.allocs)
 	if err != nil {
 		return err
 	}
-	m.relations = append(m.relations, entry)
-	m.reset()
+	if err := m.Catalog.Register(m.Cfg.catalogInfo(e)); err != nil {
+		return err
+	}
+	m.relations = append(m.relations, e)
+	m.Reset()
 	return nil
 }
 
-// Reset rebuilds the simulation engine, hardware, and storage so direct
-// users of Machine.Eng/Host (single-query probes, joins) can start from a
-// cold, deterministic state; Run and RunServe call it implicitly.
-func (m *Machine) Reset() { m.reset() }
-
-// reset rebuilds the simulation engine, hardware, and storage so a Run
-// starts from a cold, deterministic state. Server processes of the previous
-// engine (operator managers, NIC receivers) stay parked on the abandoned
-// engine and are reclaimed with it; only their goroutine stacks linger
-// until process exit, which is negligible at experiment scale.
-func (m *Machine) reset() {
+// Reset starts a run from a cold, deterministic state; Run, RunServe and
+// SimulateLoad call it, as may direct users of Machine.Eng/Host. Storage
+// (fragments, indexes, BERD auxiliaries, chain replicas) and the catalog
+// are built once, at Build/AddRelation, and shared read-only by every run.
+// Reset rebuilds only what a run mutates: the engine, CPUs, network, disks,
+// buffer pools, nodes and host, the fault injector, sampler, heat map and
+// rebalance controller. The previous engine is abandoned with its server
+// processes still parked, which keeps its procs, hardware and buffer pools
+// reachable (megabytes per run, not negligible over a campaign); that leak
+// stays open until the engine can be closed (ROADMAP item 1).
+func (m *Machine) Reset() {
 	cfg := m.Cfg
 	p := m.Placement.Processors()
-	// Elasticity builds one standby node per scheduled Join beyond the
-	// initial membership; pPhys is the physical node count. Without an
-	// elastic spec pPhys == p and the layout below is unchanged.
-	pPhys := p
-	if cfg.Elastic != nil {
-		pPhys += cfg.Elastic.schedule().Joins()
-	}
+	pPhys := len(m.allocs)
 	eng := sim.New()
 	if cfg.Metrics {
 		eng.SetMetrics(obs.NewRegistry())
@@ -261,128 +356,34 @@ func (m *Machine) reset() {
 	}
 	net := hw.NewNetwork(eng, cfg.HW, cpus)
 
-	cat := catalog.New()
 	nodes := make([]*exec.Node, pPhys)
-	allocs := make([]*storage.Allocator, pPhys)
 	for i := 0; i < pPhys; i++ {
 		disk := hw.NewDisk(eng, fmt.Sprintf("disk%d", i), cfg.HW, cpus[i],
 			streams.Stream(fmt.Sprintf("disk%d", i)))
 		disk.SetNode(i)
 		pool := buffer.NewPool(eng, fmt.Sprintf("buf%d", i), cfg.BufferPages, disk)
 		nodes[i] = exec.NewNode(eng, i, cfg.HW, cfg.Costs, net, cpus[i], disk, pool)
-		allocs[i] = storage.NewAllocator(cfg.HW.PagesPerDisk())
 	}
+	m.Nodes = nodes
 
 	// Fragment heat accounting: one accumulator per physical fragment,
-	// attached as the fragments are built below. Gated so a heat-free
-	// machine attaches nothing and the execution hot path sees only nil
-	// handles (whose increments no-op).
+	// attached with the fragments below. Gated so a heat-free machine
+	// attaches nothing and the execution hot path sees only nil handles
+	// (whose increments no-op).
 	m.Heat = nil
 	if cfg.Heat != nil {
 		m.Heat = obs.NewHeatMap()
 	}
-
-	// Lay out every relation on every node and register each in the System
-	// Catalog (Figure 7): per-disk tuple/page counts and index metadata.
-	for _, entry := range m.relations {
-		info := &catalog.RelationInfo{
-			Name:        entry.rel.Name,
-			Cardinality: entry.rel.Cardinality(),
-			Placement:   entry.placement,
-			Nodes:       make(map[int]catalog.NodeStats, p),
-		}
-		// Standby nodes (index >= p) start empty: they hold no fragments
-		// until a join transition stages a new generation onto them.
-		for i := 0; i < p; i++ {
-			n := nodes[i]
-			alloc := allocs[i]
-			frag := storage.BuildFragment(i, entry.fragTuples[i], cfg.ClusteredAttr, cfg.Layout, alloc)
-			frag.AddIndex(cfg.ClusteredAttr, alloc)
-			for _, a := range cfg.NonClusteredAttrs {
-				frag.AddIndex(a, alloc)
-			}
-			n.AddFragment(entry.rel.Name, frag)
-			if m.Heat != nil {
-				fh := m.Heat.Frag(entry.rel.Name, i, obs.FragPrimary)
-				fh.AddSize(int64(frag.FootprintPages()))
-				n.AttachHeat(entry.rel.Name, obs.FragPrimary, fh)
-			}
-			ns := catalog.NodeStats{
-				Tuples:    frag.NumTuples(),
-				DataPages: frag.NumDataPages(),
-			}
-			for _, attr := range append([]int{cfg.ClusteredAttr}, cfg.NonClusteredAttrs...) {
-				if ix := frag.Index(attr); ix != nil {
-					ns.Indexes = append(ns.Indexes, catalog.IndexInfo{
-						Attr:      attr,
-						Name:      storage.AttrName(attr),
-						Clustered: ix.Clustered,
-						Pages:     ix.Tree.Pages(),
-						Height:    ix.Tree.Height(),
-					})
-				}
-			}
-			for attr, perProc := range entry.auxByAttr {
-				aux := storage.BuildAux(i, perProc[i], cfg.Layout, alloc)
-				n.AddAux(entry.rel.Name, attr, aux)
-				if m.Heat != nil {
-					ah := m.Heat.Frag(entry.rel.Name, i, obs.FragAux)
-					ah.AddSize(int64(aux.FootprintPages()))
-					n.AttachHeat(entry.rel.Name, obs.FragAux, ah)
-				}
-				ns.AuxEntries += aux.Entries
-				ns.AuxPages += aux.Tree.Pages()
-			}
-			info.Nodes[i] = ns
-		}
-		// Chained declustering: mirror node i's fragment (and auxiliaries)
-		// on its chain successor, laid out on the successor's own disk. The
-		// replica holds the same tuples keyed by the same primary home, so a
-		// rerouted operator returns the identical result.
-		if cfg.ChainedReplicas {
-			for i := 0; i < p; i++ {
-				b := core.ChainBackup(i, p)
-				if b < 0 {
-					continue
-				}
-				alloc := allocs[b]
-				frag := storage.BuildFragment(i, entry.fragTuples[i], cfg.ClusteredAttr, cfg.Layout, alloc)
-				frag.AddIndex(cfg.ClusteredAttr, alloc)
-				for _, a := range cfg.NonClusteredAttrs {
-					frag.AddIndex(a, alloc)
-				}
-				nodes[b].AddBackupFragment(entry.rel.Name, frag)
-				if m.Heat != nil {
-					// Keyed by node b: the replica lives on b's disk, so
-					// its heat sums into b's disk totals.
-					bh := m.Heat.Frag(entry.rel.Name, b, obs.FragBackup)
-					bh.AddSize(int64(frag.FootprintPages()))
-					nodes[b].AttachHeat(entry.rel.Name, obs.FragBackup, bh)
-				}
-				for attr, perProc := range entry.auxByAttr {
-					aux := storage.BuildAux(i, perProc[i], cfg.Layout, alloc)
-					nodes[b].AddBackupAux(entry.rel.Name, attr, aux)
-					if m.Heat != nil {
-						// Backup aux shares node b's aux accumulator: both
-						// live on the same disk and serve the same trees.
-						ah := m.Heat.Frag(entry.rel.Name, b, obs.FragAux)
-						ah.AddSize(int64(aux.FootprintPages()))
-						nodes[b].AttachHeat(entry.rel.Name, obs.FragAux, ah)
-					}
-				}
-			}
-		}
-		if err := cat.Register(info); err != nil {
-			panic(err) // unreachable: names deduplicated in AddRelation
-		}
+	for _, e := range m.relations {
+		m.attach(e, false)
 	}
 	for _, n := range nodes {
 		n.Start()
 	}
 
 	host := exec.NewHost(eng, pPhys, cfg.HW, net, cfg.Costs)
-	for _, entry := range m.relations {
-		host.AddRelation(entry.rel.Name, entry.placement)
+	for _, e := range m.relations {
+		host.AddRelation(e.rel.Name, e.placement)
 	}
 	host.BERDFetchByTID = cfg.BERDFetchByTID
 	host.Start()
@@ -446,10 +447,7 @@ func (m *Machine) reset() {
 
 	m.Eng = eng
 	m.Net = net
-	m.Nodes = nodes
 	m.Host = host
-	m.Catalog = cat
-	m.allocs = allocs
 
 	// Elastic membership: the controller process walks the schedule on the
 	// sim clock, staging each transition through elasticExec and copying
@@ -466,11 +464,7 @@ func (m *Machine) reset() {
 			RatePagesPerSec: cfg.Elastic.rate(),
 			PageBytes:       cfg.HW.PageSize,
 		}
-		topo := make([]int, p)
-		for i := range topo {
-			topo[i] = i
-		}
-		ctl := rebalance.NewController(eng, cfg.Elastic.schedule(), p, standbys, &elasticExec{m: m, topo: topo}, cp)
+		ctl := rebalance.NewController(eng, cfg.Elastic.schedule(), p, standbys, newElasticExec(m), cp)
 		ctl.Start()
 		m.Rebalancer = ctl
 		if m.Injector != nil {
@@ -480,4 +474,46 @@ func (m *Machine) reset() {
 			registerRebalanceSeries(m.Telemetry, cp)
 		}
 	}
+}
+
+// attach hands a relation's storage to its nodes, primaries then replicas
+// in slot order, wiring heat as it goes: serving at Reset, or staged for
+// the next cutover by elastic Prepare.
+func (m *Machine) attach(e *relationEntry, stage bool) {
+	name := e.rel.Name
+	addFrag, addAux := (*exec.Node).AddFragment, (*exec.Node).AddAux
+	addBackup, addBackupAux := (*exec.Node).AddBackupFragment, (*exec.Node).AddBackupAux
+	if stage {
+		addFrag, addAux = (*exec.Node).StageFragment, (*exec.Node).StageAux
+		addBackup, addBackupAux = (*exec.Node).StageBackupFragment, (*exec.Node).StageBackupAux
+	}
+	for _, l := range e.primary {
+		addFrag(m.Nodes[l.node], name, l.frag)
+		m.attachHeat(name, l.node, obs.FragPrimary, l.frag.FootprintPages())
+		for attr, aux := range l.aux {
+			addAux(m.Nodes[l.node], name, attr, aux)
+			m.attachHeat(name, l.node, obs.FragAux, aux.FootprintPages())
+		}
+	}
+	for _, l := range e.backup {
+		addBackup(m.Nodes[l.node], name, l.frag)
+		m.attachHeat(name, l.node, obs.FragBackup, l.frag.FootprintPages())
+		for attr, aux := range l.aux {
+			addBackupAux(m.Nodes[l.node], name, attr, aux)
+			m.attachHeat(name, l.node, obs.FragAux, aux.FootprintPages())
+		}
+	}
+}
+
+// attachHeat wires one fragment's heat accumulator (no-op with heat off).
+// Keyed by physical node, a replica's heat sums into its host disk, a
+// node's primary and replica auxiliaries share one, and a migrating
+// fragment's heat moves with it (querytrace -frags agrees mid-rebalance).
+func (m *Machine) attachHeat(relation string, phys int, kind obs.FragKind, pages int) {
+	if m.Heat == nil {
+		return
+	}
+	h := m.Heat.Frag(relation, phys, kind)
+	h.AddSize(int64(pages))
+	m.Nodes[phys].AttachHeat(relation, kind, h)
 }

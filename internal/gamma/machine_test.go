@@ -155,7 +155,7 @@ func TestMAGICQueriesUseSubsets(t *testing.T) {
 		t.Fatalf("MAGIC QA used %d processors (aux %d)", resA.ProcessorsUsed, resA.AuxProcessors)
 	}
 	// Fresh engine for a second independent probe.
-	m.reset()
+	m.Reset()
 	resB := executeOne(t, m, core.Predicate{Attr: storage.Unique2, Lo: 1000, Hi: 1009}, mix)
 	if resB.Tuples != 10 {
 		t.Fatalf("QB retrieved %d tuples", resB.Tuples)
@@ -190,7 +190,7 @@ func TestAllStrategiesAgreeOnResults(t *testing.T) {
 			}
 		}
 		for _, m := range machines {
-			m.reset()
+			m.Reset()
 			res := executeOne(t, m, pred, mix)
 			if res.Tuples != want {
 				t.Fatalf("%s on %v: got %d tuples, want %d",
@@ -407,7 +407,7 @@ func TestStrategyAgreementProperty(t *testing.T) {
 		pred := core.Predicate{Attr: attr, Lo: lo, Hi: lo + width - 1}
 		var counts []int
 		for _, m := range machines {
-			m.reset()
+			m.Reset()
 			res := executeOne(t, m, pred, mix)
 			counts = append(counts, res.Tuples)
 		}
@@ -553,7 +553,7 @@ func TestMultiRelationMachineAndJoin(t *testing.T) {
 		t.Fatalf("selection on trades got %d tuples", sel.Tuples)
 	}
 	// An equi-join between them (hash-on-key: co-located).
-	m.reset()
+	m.Reset()
 	var jr exec.JoinResult
 	m.Eng.Spawn("joiner", func(p *sim.Proc) {
 		jr = m.Host.ExecuteJoin(p, exec.JoinSpec{

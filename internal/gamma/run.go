@@ -155,7 +155,7 @@ func (m *Machine) Run(mix workload.Mix, spec RunSpec) (RunResult, error) {
 	if seed == 0 {
 		seed = m.Cfg.Seed
 	}
-	m.reset()
+	m.Reset()
 	eng := m.Eng
 	access := mix.AccessChooser()
 	m.Host.SetAccessPolicy(m.Relation.Name, access)

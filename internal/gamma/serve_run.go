@@ -104,7 +104,7 @@ func (m *Machine) RunServe(mix workload.Mix, spec ServeSpec) (ServeResult, error
 	if seed == 0 {
 		seed = m.Cfg.Seed
 	}
-	m.reset()
+	m.Reset()
 	card := m.Relation.Cardinality()
 	access := mix.AccessChooser()
 
