@@ -25,6 +25,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/gamma"
+	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -450,10 +451,7 @@ func BenchmarkJoinColocation(b *testing.B) {
 	trades := storage.GenerateWisconsin(storage.GenSpec{
 		Name: "trades", Cardinality: opts.Cardinality / 4, Seed: 22,
 	})
-	spec := exec.JoinSpec{
-		BuildRelation: "trades", BuildAttr: storage.Unique1,
-		ProbeRelation: "stock", ProbeAttr: storage.Unique1,
-	}
+	join := plan.NewJoin(storage.Unique1, plan.NewScan("trades"), plan.NewScan("stock"))
 	variants := []struct {
 		name              string
 		stockPl, tradesPl func() core.Placement
@@ -476,16 +474,16 @@ func BenchmarkJoinColocation(b *testing.B) {
 			}
 			var ms float64
 			for i := 0; i < b.N; i++ {
-				var res exec.JoinResult
+				var res exec.QueryResult
 				machine.Eng.Spawn("joiner", func(p *sim.Proc) {
-					res = machine.Host.ExecuteJoin(p, spec)
+					res = machine.Host.Submit(p, join)
 					machine.Eng.Stop()
 				})
 				if err := machine.Eng.RunUntil(sim.Time(30 * 60 * sim.Second)); err != nil {
 					b.Fatal(err)
 				}
-				if res.Matches != trades.Cardinality() {
-					b.Fatalf("matches = %d", res.Matches)
+				if res.Tuples != trades.Cardinality() {
+					b.Fatalf("matches = %d", res.Tuples)
 				}
 				ms = res.ResponseMS()
 				machine.Reset() // fresh engine for the next iteration

@@ -201,8 +201,16 @@ func (h *HashPlacement) Route(pred Predicate) Route {
 	return Route{Participants: allProcessors(h.p)}
 }
 
-// Attr reports the partitioning attribute.
-func (h *HashPlacement) Attr() int { return h.attr }
+// CoLocated reports whether an equi-join of build with probe on attr runs
+// node-locally: when both inputs are hash-declustered on the join
+// attribute over the same processors they share the randomizing function,
+// so every tuple's join partner already lives on its own node and the
+// split table degenerates to the identity.
+func CoLocated(build, probe Placement, attr int) bool {
+	hb, okB := build.(*HashPlacement)
+	hp, okP := probe.(*HashPlacement)
+	return okB && okP && hb.attr == attr && hp.attr == attr && hb.p == hp.p
+}
 
 // JoinBucket routes a join-attribute value through the same randomizing
 // function hash declustering uses, so the execution layer's split table

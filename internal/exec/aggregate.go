@@ -1,70 +1,25 @@
 package exec
 
 import (
-	"fmt"
-
-	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/plan"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // Parallel aggregation is the other dataflow the Gamma substrate runs
-// beside selection and join: every node computes partial aggregates over
-// its fragment (optionally filtered by a predicate and routed through the
-// declustering strategy's localization), and the scheduler combines the
-// partials. COUNT/SUM/MIN/MAX decompose exactly this way; AVG is SUM/COUNT
-// at the coordinator.
+// beside selection and join: every participating node computes a partial
+// aggregate over its fragment's qualifying tuples (routed and localized
+// exactly as the selection would be), and the scheduler's collector
+// combines the partials. COUNT/SUM/MIN/MAX decompose exactly this way; AVG
+// is SUM/COUNT at the coordinator.
 
-// AggKind selects the aggregate function. It is an alias of plan.AggFn:
-// the plan layer owns the aggregate vocabulary.
-type AggKind = plan.AggFn
-
-// Supported aggregates, re-exported for the execution layer's historical
-// spelling.
-const (
-	AggCount = plan.AggCount
-	AggSum   = plan.AggSum
-	AggMin   = plan.AggMin
-	AggMax   = plan.AggMax
-)
-
-// AggSpec describes one aggregate query: the function over Attr for the
-// tuples matching Pred (Pred.Attr also drives routing, so a predicate on a
-// partitioning attribute localizes the aggregation).
-type AggSpec struct {
-	Relation string
-	Kind     AggKind
-	Attr     int
-	Pred     core.Predicate
-	Access   AccessKind
-}
-
-// AggResult is a completed aggregate.
-type AggResult struct {
-	ID             int64
-	Value          int64
-	Tuples         int // tuples that matched the predicate
-	ProcessorsUsed int
-	Submitted      sim.Time
-	Completed      sim.Time
-}
-
-// ResponseMS reports the elapsed simulated time in milliseconds.
-func (r AggResult) ResponseMS() float64 {
-	return sim.Duration(r.Completed - r.Submitted).Milliseconds()
-}
-
-// aggOp asks a node for its partial aggregate.
+// aggOp asks a node for its partial aggregate of the tuples a selection
+// operator would return: the embedded startOp selects the fragment and
+// access method (and carries the attempt tag the partial echoes).
 type aggOp struct {
-	QueryID  int64
-	Relation string
-	Kind     AggKind
-	Attr     int
-	Pred     core.Predicate
-	Access   AccessKind
-	ReplyTo  int
+	startOp
+	Fn   plan.AggFn
+	Attr int
 }
 
 // aggPartial is one node's contribution.
@@ -73,120 +28,62 @@ type aggPartial struct {
 	Node    int
 	Value   int64
 	Tuples  int
+	Attempt int // echoes aggOp.Attempt
+}
+
+func (r aggPartial) attemptID() int { return r.Attempt }
+
+// fold folds x into an aggregate accumulator; first marks acc as holding
+// no input yet. COUNT folds 1 per tuple on the nodes and adds partial
+// counts at the scheduler, so it shares SUM's addition.
+func fold(fn plan.AggFn, acc, x int64, first bool) int64 {
+	switch fn {
+	case plan.AggMin:
+		if first || x < acc {
+			return x
+		}
+		return acc
+	case plan.AggMax:
+		if first || x > acc {
+			return x
+		}
+		return acc
+	default:
+		return acc + x
+	}
 }
 
 // runAggregate computes the node-local partial: the same access path a
 // selection would use, then a per-tuple aggregation charge, and a
-// fixed-size partial result back to the scheduler.
+// fixed-size partial result back to the scheduler. An access error becomes
+// an opError report, as for a selection operator.
 func (n *Node) runAggregate(p *sim.Proc, req aggOp) {
-	frag := n.fragment(req.Relation)
-	var acc storage.Access
-	switch req.Access {
-	case AccessClustered:
-		acc = mustAccess(frag.SearchClustered(req.Pred.Lo, req.Pred.Hi))
-	case AccessNonClustered:
-		acc = mustAccess(frag.SearchNonClustered(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi))
-	default:
-		acc = frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi)
+	p.SetQID(req.QueryID)
+	epoch := n.epoch
+	h := n.heatFor(req.Relation, req.Backup)
+	acc, err := n.selectAccess(req.startOp)
+	if err == nil {
+		err = n.chargeAccess(p, acc, h)
 	}
-	h := n.heatFor(req.Relation, false)
-	n.mustCharge(p, acc, h)
-	h.Account(len(acc.IndexPages), len(acc.DataPages), 0, false)
+	if err != nil {
+		n.sendError(p, epoch, req.QueryID, req.ReplyTo, req.Attempt, err)
+		return
+	}
+	h.Account(len(acc.IndexPages), len(acc.DataPages), 0, req.Backup)
 	n.OpsExecuted++
 
 	var value int64
-	first := true
-	for _, t := range acc.Tuples {
+	for i, t := range acc.Tuples {
 		n.CPU.Execute(p, n.costs.JoinProbeInstr) // per-tuple aggregation work
-		v := t.Attrs[req.Attr]
-		switch req.Kind {
-		case AggCount:
-			value++
-		case AggSum:
-			value += v
-		case AggMin:
-			if first || v < value {
-				value = v
-			}
-		case AggMax:
-			if first || v > value {
-				value = v
-			}
+		x := t.Attrs[req.Attr]
+		if req.Fn == plan.AggCount {
+			x = 1
 		}
-		first = false
+		value = fold(req.Fn, value, x, i == 0)
 	}
-	n.net.Send(p, n.CPU, hw.Message{
+	n.send(p, epoch, hw.Message{
 		From: n.ID, To: req.ReplyTo, Bytes: controlBytes,
-		Payload: aggPartial{QueryID: req.QueryID, Node: n.ID, Value: value, Tuples: len(acc.Tuples)},
+		Payload: aggPartial{QueryID: req.QueryID, Node: n.ID, Value: value,
+			Tuples: len(acc.Tuples), Attempt: req.Attempt},
 	})
-}
-
-// ExecuteAggregate runs one aggregate query from the calling process,
-// routing through the relation's declustering strategy exactly as a
-// selection would (BERD two-step routing degrades to all processors here;
-// the auxiliary step yields TIDs, which partial aggregation does not need).
-func (h *Host) ExecuteAggregate(p *sim.Proc, spec AggSpec) AggResult {
-	placement, ok := h.placements[spec.Relation]
-	if !ok {
-		panic(fmt.Sprintf("exec: unknown relation %q", spec.Relation))
-	}
-	h.nextQID++
-	qid := h.nextQID
-	res := AggResult{ID: qid, Submitted: p.Now()}
-	mb := sim.NewMailbox[any](h.eng, fmt.Sprintf("host.agg%d", qid))
-	h.pending[qid] = mb
-	defer delete(h.pending, qid)
-
-	p.Hold(h.params.InstrTime(h.costs.PlanInstr))
-	route := placement.Route(spec.Pred)
-	if route.EntriesSearched > 0 {
-		p.Hold(sim.Milliseconds(h.costs.CSms * float64(route.EntriesSearched)))
-	}
-	participants := route.Participants
-	if len(route.Aux) > 0 {
-		// Aggregation needs only the owning processors; without running
-		// the auxiliary step we conservatively ask everyone.
-		participants = allNodes(placement.Processors())
-	}
-
-	for _, node := range participants {
-		h.net.Send(p, nil, hw.Message{
-			From: h.ID, To: node, Bytes: controlBytes,
-			Payload: aggOp{QueryID: qid, Relation: spec.Relation, Kind: spec.Kind,
-				Attr: spec.Attr, Pred: spec.Pred, Access: spec.Access, ReplyTo: h.ID},
-		})
-	}
-	first := true
-	for i := 0; i < len(participants); i++ {
-		part := waitFor[aggPartial](p, mb)
-		res.Tuples += part.Tuples
-		if part.Tuples == 0 {
-			continue
-		}
-		switch spec.Kind {
-		case AggCount, AggSum:
-			res.Value += part.Value
-		case AggMin:
-			if first || part.Value < res.Value {
-				res.Value = part.Value
-			}
-		case AggMax:
-			if first || part.Value > res.Value {
-				res.Value = part.Value
-			}
-		}
-		first = false
-	}
-	res.ProcessorsUsed = len(participants)
-	res.Completed = p.Now()
-	h.QueriesRun++
-	return res
-}
-
-func allNodes(p int) []int {
-	out := make([]int, p)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

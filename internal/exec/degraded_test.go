@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hw"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -98,9 +99,15 @@ var bothNodes = core.Predicate{Attr: storage.Unique2, Lo: 50, Hi: 69}
 
 func (r *degradedRig) execute(t *testing.T) QueryResult {
 	t.Helper()
+	return r.submit(t, selectOf(r.rel.Name, bothNodes))
+}
+
+// submit runs one plan to completion; the engine run itself must not fail.
+func (r *degradedRig) submit(t *testing.T, n *plan.Node) QueryResult {
+	t.Helper()
 	var res QueryResult
 	r.eng.Spawn("probe", func(p *sim.Proc) {
-		res = r.host.Submit(p, selectOf(r.rel.Name, bothNodes))
+		res = r.host.Submit(p, n)
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
@@ -245,5 +252,48 @@ func TestDegradedAbsorbsDuplicatedReplies(t *testing.T) {
 	}
 	if r.host.Orphans == 0 {
 		t.Fatal("duplicated replies should surface as orphans")
+	}
+}
+
+// An aggregate is a selection-shaped phase on the collector: a disk
+// failure the view has not noticed fails the first partial, the retry
+// reroutes it to the chained backup, and the fault-free value comes back.
+func TestDegradedAggregateReroutesToBackup(t *testing.T) {
+	r := newDegradedRig(t)
+	var want int64
+	for _, tup := range r.rel.Tuples {
+		if v := tup.Attrs[bothNodes.Attr]; v >= bothNodes.Lo && v <= bothNodes.Hi {
+			want += tup.Attrs[storage.Unique1]
+		}
+	}
+	r.eng.Schedule(0, func() { r.disks[0].Fail() })
+	res := r.submit(t, plan.NewAggregate(plan.AggSum, storage.Unique1, selectOf(r.rel.Name, bothNodes)))
+	if res.Value != want || res.Tuples != 20 {
+		t.Fatalf("sum = %d over %d tuples, want %d over 20", res.Value, res.Tuples, want)
+	}
+	if res.Outcome != OutcomeRetried || res.Retries == 0 {
+		t.Fatalf("outcome = %v, retries = %d, want a retried success", res.Outcome, res.Retries)
+	}
+	backup := false
+	for _, op := range res.ServedBy {
+		backup = backup || op.Backup
+	}
+	if !backup {
+		t.Fatalf("ServedBy %v names no backup replica", res.ServedBy)
+	}
+}
+
+// A join's repartitioned streams cannot be replayed one scan at a time: a
+// failed disk under a scan fails the whole query (not the run), even with
+// replicas armed.
+func TestDegradedJoinFailsOnDiskFault(t *testing.T) {
+	r := newDegradedRig(t)
+	r.eng.Schedule(0, func() { r.disks[0].Fail() })
+	res := r.submit(t, plan.NewJoin(storage.Unique1, plan.NewScan(r.rel.Name), plan.NewScan(r.rel.Name)))
+	if res.Outcome != OutcomeFailed || res.Err == nil {
+		t.Fatalf("outcome = %v, err = %v, want a failed join", res.Outcome, res.Err)
+	}
+	if res.Retries != 0 {
+		t.Fatalf("join retried %d times; joins are never retried", res.Retries)
 	}
 }

@@ -319,58 +319,35 @@ func (h *Host) resolveSelection(n *plan.Node) (string, core.Predicate, AccessKin
 	return sel.Relation, pred, kind
 }
 
-// Submit executes a declarative plan tree to completion from the calling
-// process (a terminal) and returns the query's statistics. Selection trees
-// (Filter chains over a Scan/IndexScan leaf) run through the scheduler's
-// selection path — including shared-scan batching when the manager is
-// armed. A Join root runs the parallel hash join (Tuples reports the match
-// count); an Aggregate root runs the partial-aggregation protocol (Tuples
-// reports matched tuples, Value the aggregate). Invalid or non-executable
-// plans panic: a plan error is a programming error, not a runtime fault.
+// Submit is the only way to execute a query: it runs a declarative plan
+// tree to completion from the calling process (a terminal) and returns the
+// query's statistics. Every plan shape runs on the scheduler's one
+// collector, under the host's retry policy, placement epoch and tracing:
+//   - a selection tree (Filter chains over a Scan/IndexScan leaf) runs one
+//     operator per participant — BERD's auxiliary step first when the
+//     route calls for it, shared-scan batches when the manager is armed;
+//   - an Aggregate root runs the same routed phase with partial-aggregate
+//     operators (Tuples reports matched tuples, Value the aggregate);
+//   - a Join root runs the parallel hash join, one operator per slot
+//     (Tuples reports the match count). Its repartitioned streams cannot
+//     be replayed one operator at a time, so a join is never retried: it
+//     waits under the query deadline only and fails on its first operator
+//     error.
+//
+// Invalid or non-executable plans panic: a plan error is a programming
+// error, not a runtime fault.
 func (h *Host) Submit(p *sim.Proc, n *plan.Node) QueryResult {
 	if err := n.Validate(); err != nil {
 		panic(fmt.Sprintf("exec: invalid plan: %v", err))
 	}
 	switch n.Kind {
+	case plan.KindJoin:
+		return h.runJoin(p, n)
 	case plan.KindAggregate:
 		relation, pred, kind := h.resolveSelection(n.Inputs[0])
-		agg := h.ExecuteAggregate(p, AggSpec{
-			Relation: relation, Kind: n.Fn, Attr: n.Attr, Pred: pred, Access: kind,
-		})
-		return QueryResult{
-			ID: agg.ID, Pred: pred, Tuples: agg.Tuples, Value: agg.Value,
-			ProcessorsUsed: agg.ProcessorsUsed,
-			Submitted:      agg.Submitted, Completed: agg.Completed,
-		}
-	case plan.KindJoin:
-		buildRel, buildPred, _ := h.resolveSelection(n.Inputs[0])
-		probeRel, probePred, _ := h.resolveSelection(n.Inputs[1])
-		spec := JoinSpec{
-			BuildRelation: buildRel, BuildAttr: n.Attr,
-			ProbeRelation: probeRel, ProbeAttr: n.Attr,
-		}
-		if n.Inputs[0].Kind != plan.KindScan || n.Inputs[0].HasPred {
-			spec.BuildPred = &buildPred
-		}
-		if n.Inputs[1].Kind != plan.KindScan || n.Inputs[1].HasPred {
-			spec.ProbePred = &probePred
-		}
-		jr := h.ExecuteJoin(p, spec)
-		return QueryResult{
-			ID: jr.ID, Tuples: jr.Matches, ProcessorsUsed: jr.ProcessorsUsed,
-			Submitted: jr.Submitted, Completed: jr.Completed,
-		}
+		return h.runSelection(p, relation, pred, kind, n)
 	default:
 		relation, pred, kind := h.resolveSelection(n)
-		return h.runSelection(p, relation, pred, kind)
-	}
-}
-
-// waitFor reads messages until one of type T arrives.
-func waitFor[T any](p *sim.Proc, mb *sim.Mailbox[any]) T {
-	for {
-		if v, ok := mb.Get(p).(T); ok {
-			return v
-		}
+		return h.runSelection(p, relation, pred, kind, nil)
 	}
 }

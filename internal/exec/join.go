@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/hw"
@@ -18,39 +17,10 @@ import (
 // the same split table and probes. End-of-stream control messages close
 // each phase, exactly as Gamma's split tables did.
 //
-// When both relations are hash-declustered on their join attributes with
-// the same randomizing function (core.HashPlacement), the split table
-// degenerates to the identity and the join runs entirely node-locally —
-// the join-locality benefit of declustering by join key.
-
-// JoinSpec describes one equi-join.
-type JoinSpec struct {
-	BuildRelation string
-	BuildAttr     int
-	ProbeRelation string
-	ProbeAttr     int
-	// BuildPred/ProbePred optionally filter the inputs during the scans
-	// (zero values scan everything).
-	BuildPred *core.Predicate
-	ProbePred *core.Predicate
-}
-
-// JoinResult summarizes one executed join.
-type JoinResult struct {
-	ID             int64
-	Matches        int
-	BuildTuples    int
-	ProbeTuples    int
-	Repartitioned  bool // false when co-location made every transfer local
-	ProcessorsUsed int
-	Submitted      sim.Time
-	Completed      sim.Time
-}
-
-// ResponseMS reports the join's elapsed simulated time in milliseconds.
-func (r JoinResult) ResponseMS() float64 {
-	return sim.Duration(r.Completed - r.Submitted).Milliseconds()
-}
+// When both relations are hash-declustered on the join attribute with the
+// same randomizing function (core.CoLocated), the split table degenerates
+// to the identity and the join runs entirely node-locally — the
+// join-locality benefit of declustering by join key.
 
 // join message types.
 type joinPhase int
@@ -60,40 +30,53 @@ const (
 	phaseProbe
 )
 
-// joinScan asks a node to scan its fragment and route tuples through the
-// split table.
+// joinTarget is one join-operator slot of a query: the physical node the
+// operator runs on and the attempt tag its joinDone echoes.
+type joinTarget struct {
+	Node    int
+	Attempt int
+}
+
+// joinScan asks a node to scan its fragment of one join input (the
+// fragment of placement slot Slot) and route tuples through the split
+// table to the query's join operators.
 type joinScan struct {
 	QueryID  int64
 	Relation string
 	Attr     int
 	Phase    joinPhase
-	Pred     *core.Predicate
+	Pred     core.Predicate
 	// Local, when true, short-circuits the split table: every tuple stays
-	// on the scanning node (co-located join).
-	Local    bool
-	Targets  int // join operators run on nodes 0..Targets-1
-	Scanners int // how many scanners feed this phase (for end-of-stream)
-	ReplyTo  int
+	// with the scanning slot's own operator (co-located join).
+	Local   bool
+	Slot    int
+	Targets []joinTarget // one per slot; every slot also scans each input
+	ReplyTo int
+	Epoch   int // placement generation, as startOp.Epoch
 }
 
-// joinBatch carries repartitioned tuples to a join operator. ReplyTo and
-// Scanners ride along so the receiving node can start the operator even
-// when a remote batch outruns its own scan request.
-type joinBatch struct {
+// joinOperator addresses one join operator. Batches and end-of-stream
+// markers carry it so the receiving node can start the operator even when
+// a remote batch outruns its own scan request.
+type joinOperator struct {
 	QueryID  int64
-	Phase    joinPhase
-	Attr     int
-	Tuples   []storage.Tuple
 	ReplyTo  int
 	Scanners int
+	Attempt  int
+}
+
+// joinBatch carries repartitioned tuples to a join operator.
+type joinBatch struct {
+	joinOperator
+	Phase  joinPhase
+	Attr   int
+	Tuples []storage.Tuple
 }
 
 // joinEnd signals that one scanner has finished a phase.
 type joinEnd struct {
-	QueryID  int64
-	Phase    joinPhase
-	ReplyTo  int
-	Scanners int
+	joinOperator
+	Phase joinPhase
 }
 
 // joinDone reports one join operator's matches to the scheduler.
@@ -101,9 +84,10 @@ type joinDone struct {
 	QueryID int64
 	Node    int
 	Matches int
-	Built   int // build tuples this operator received
-	Probed  int // probe tuples this operator processed
+	Attempt int // echoes the operator slot's joinTarget.Attempt
 }
+
+func (r joinDone) attemptID() int { return r.Attempt }
 
 // joinWorker is the per-node join operator for one query: it owns the hash
 // table and a private mailbox through which the Operator Manager feeds it
@@ -114,60 +98,67 @@ type joinWorker struct {
 
 // routeJoinMsg delivers a join message to the query's worker, creating it
 // on first contact.
-func (n *Node) routeJoinMsg(qid int64, replyTo int, scanners int, msg any) {
-	w := n.joins[qid]
+func (n *Node) routeJoinMsg(op joinOperator, msg any) {
+	w := n.joins[op.QueryID]
 	if w == nil {
-		w = &joinWorker{inbox: sim.NewMailbox[any](n.eng, fmt.Sprintf("node%d.join.q%d", n.ID, qid))}
-		n.joins[qid] = w
-		n.eng.Spawn(fmt.Sprintf("node%d.joinop.q%d", n.ID, qid), func(p *sim.Proc) {
-			n.runJoinOperator(p, qid, replyTo, scanners, w)
-			delete(n.joins, qid)
+		w = &joinWorker{inbox: sim.NewMailbox[any](n.eng, fmt.Sprintf("node%d.join.q%d", n.ID, op.QueryID))}
+		n.joins[op.QueryID] = w
+		n.eng.Spawn(fmt.Sprintf("node%d.joinop.q%d", n.ID, op.QueryID), func(p *sim.Proc) {
+			n.runJoinOperator(p, op, w)
+			delete(n.joins, op.QueryID)
 		})
 	}
 	w.inbox.Put(msg)
 }
 
-// runJoinScan scans the local fragment of one join input and routes each
+// runJoinScan scans the slot's fragment of one join input and routes each
 // tuple through the split table (hash on the join attribute modulo the
 // number of join operators), batching per destination. A final joinEnd goes
-// to every join operator so it can detect end-of-stream.
+// to every join operator so it can detect end-of-stream — also after a
+// failed scan, which reports its error to the scheduler and ships nothing.
 func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
-	frag := n.fragment(req.Relation)
-	var acc storage.Access
-	if req.Pred != nil {
-		acc = frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi)
-	} else {
-		lo, hi := minMaxInt64()
-		acc = frag.Scan(req.Attr, lo, hi)
-	}
+	p.SetQID(req.QueryID)
+	epoch := n.epoch
 	h := n.heatFor(req.Relation, false)
-	n.mustCharge(p, acc, h)
-	h.Account(len(acc.IndexPages), len(acc.DataPages), 0, false)
-	n.OpsExecuted++
+	var acc storage.Access
+	frag, err := n.fragmentFor(req.Relation, false, req.Epoch)
+	if err == nil {
+		acc = frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi)
+		err = n.chargeAccess(p, acc, h)
+	}
+	if err != nil {
+		n.sendError(p, epoch, req.QueryID, req.ReplyTo, req.Targets[req.Slot].Attempt, err)
+		acc.Tuples = nil
+	} else {
+		h.Account(len(acc.IndexPages), len(acc.DataPages), 0, false)
+		n.OpsExecuted++
+	}
 
 	// Split table: partition the qualifying tuples by join-attribute hash.
-	buckets := make(map[int][]storage.Tuple)
+	buckets := make([][]storage.Tuple, len(req.Targets))
 	for _, t := range acc.Tuples {
-		dst := n.ID
+		slot := req.Slot
 		if !req.Local {
-			dst = core.JoinBucket(t.Attrs[req.Attr], req.Targets)
+			slot = core.JoinBucket(t.Attrs[req.Attr], len(req.Targets))
 		}
-		buckets[dst] = append(buckets[dst], t)
+		buckets[slot] = append(buckets[slot], t)
 		n.CPU.Execute(p, n.costs.JoinHashInstr)
 	}
-	dsts := make([]int, 0, len(buckets))
-	for d := range buckets {
-		dsts = append(dsts, d)
+	operator := func(slot int) (int, joinOperator) {
+		tgt := req.Targets[slot]
+		return tgt.Node, joinOperator{QueryID: req.QueryID, ReplyTo: req.ReplyTo,
+			Scanners: len(req.Targets), Attempt: tgt.Attempt}
 	}
-	sort.Ints(dsts) // deterministic send order
-	for _, dst := range dsts {
-		tuples := buckets[dst]
+	for slot, tuples := range buckets {
+		if len(tuples) == 0 {
+			continue
+		}
+		dst, op := operator(slot)
 		n.TuplesShipped += int64(len(tuples))
-		batch := joinBatch{QueryID: req.QueryID, Phase: req.Phase, Attr: req.Attr,
-			Tuples: tuples, ReplyTo: req.ReplyTo, Scanners: req.Scanners}
+		batch := joinBatch{joinOperator: op, Phase: req.Phase, Attr: req.Attr, Tuples: tuples}
 		if dst == n.ID {
 			// Local delivery: no network, straight to the worker.
-			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, batch)
+			n.routeJoinMsg(op, batch)
 			continue
 		}
 		n.net.Send(p, n.CPU, hw.Message{
@@ -177,11 +168,11 @@ func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
 		})
 	}
 	// End-of-stream to every join operator.
-	for dst := 0; dst < req.Targets; dst++ {
-		end := joinEnd{QueryID: req.QueryID, Phase: req.Phase,
-			ReplyTo: req.ReplyTo, Scanners: req.Scanners}
+	for slot := range req.Targets {
+		dst, op := operator(slot)
+		end := joinEnd{joinOperator: op, Phase: req.Phase}
 		if dst == n.ID {
-			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, end)
+			n.routeJoinMsg(op, end)
 			continue
 		}
 		n.net.Send(p, n.CPU, hw.Message{
@@ -195,11 +186,12 @@ func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
 // scheduler. Probe batches arriving before the build phase has fully closed
 // are buffered, preserving the build-before-probe barrier without global
 // synchronization.
-func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w *joinWorker) {
+func (n *Node) runJoinOperator(p *sim.Proc, op joinOperator, w *joinWorker) {
+	epoch := n.epoch
 	table := make(map[int64][]storage.Tuple)
 	var pendingProbe []joinBatch
 	buildEnds, probeEnds := 0, 0
-	matches, builtCount, probedCount := 0, 0, 0
+	matches := 0
 	built := false
 
 	probe := func(b joinBatch) {
@@ -207,10 +199,9 @@ func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w 
 			n.CPU.Execute(p, n.costs.JoinProbeInstr)
 			matches += len(table[t.Attrs[b.Attr]])
 		}
-		probedCount += len(b.Tuples)
 	}
 
-	for buildEnds < scanners || probeEnds < scanners {
+	for buildEnds < op.Scanners || probeEnds < op.Scanners {
 		switch m := w.inbox.Get(p).(type) {
 		case joinBatch:
 			if m.Phase == phaseBuild {
@@ -218,7 +209,6 @@ func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w 
 					n.CPU.Execute(p, n.costs.JoinBuildInstr)
 					table[t.Attrs[m.Attr]] = append(table[t.Attrs[m.Attr]], t)
 				}
-				builtCount += len(m.Tuples)
 			} else if built {
 				probe(m)
 			} else {
@@ -227,7 +217,7 @@ func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w 
 		case joinEnd:
 			if m.Phase == phaseBuild {
 				buildEnds++
-				if buildEnds == scanners {
+				if buildEnds == op.Scanners {
 					built = true
 					for _, b := range pendingProbe {
 						probe(b)
@@ -244,80 +234,8 @@ func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w 
 	n.OpsExecuted++
 	// Ship the result (matched pairs) with the completion report.
 	bytes := matches*2*n.params.TupleSize + controlBytes
-	n.net.Send(p, n.CPU, hw.Message{
-		From: n.ID, To: replyTo, Bytes: bytes,
-		Payload: joinDone{QueryID: qid, Node: n.ID, Matches: matches,
-			Built: builtCount, Probed: probedCount},
+	n.send(p, epoch, hw.Message{
+		From: n.ID, To: op.ReplyTo, Bytes: bytes,
+		Payload: joinDone{QueryID: op.QueryID, Node: n.ID, Matches: matches, Attempt: op.Attempt},
 	})
-}
-
-// ExecuteJoin runs an equi-join between two registered relations from the
-// calling process and blocks until the matched count is assembled.
-func (h *Host) ExecuteJoin(p *sim.Proc, spec JoinSpec) JoinResult {
-	build, ok := h.placements[spec.BuildRelation]
-	if !ok {
-		panic(fmt.Sprintf("exec: unknown relation %q", spec.BuildRelation))
-	}
-	probe, ok := h.placements[spec.ProbeRelation]
-	if !ok {
-		panic(fmt.Sprintf("exec: unknown relation %q", spec.ProbeRelation))
-	}
-	h.nextQID++
-	qid := h.nextQID
-	res := JoinResult{ID: qid, Submitted: p.Now(), Repartitioned: true}
-	mb := sim.NewMailbox[any](h.eng, fmt.Sprintf("host.join%d", qid))
-	h.pending[qid] = mb
-	defer delete(h.pending, qid)
-
-	p.Hold(h.params.InstrTime(h.costs.PlanInstr))
-	targets := build.Processors()
-	if probe.Processors() != targets {
-		panic(fmt.Sprintf("exec: join inputs declustered over %d and %d processors",
-			targets, probe.Processors()))
-	}
-
-	// Co-location: both relations hash-declustered on their join
-	// attributes share the randomizing function, so every tuple's join
-	// partner already lives on its own node.
-	if hb, okB := build.(*core.HashPlacement); okB {
-		if hp, okP := probe.(*core.HashPlacement); okP {
-			if hb.Attr() == spec.BuildAttr && hp.Attr() == spec.ProbeAttr &&
-				hb.Processors() == probe.Processors() {
-				res.Repartitioned = false
-			}
-		}
-	}
-
-	scanners := targets // every node scans its fragment of each input
-	for _, phase := range []joinPhase{phaseBuild, phaseProbe} {
-		rel, attr, pred := spec.BuildRelation, spec.BuildAttr, spec.BuildPred
-		if phase == phaseProbe {
-			rel, attr, pred = spec.ProbeRelation, spec.ProbeAttr, spec.ProbePred
-		}
-		for node := 0; node < scanners; node++ {
-			h.net.Send(p, nil, hw.Message{
-				From: h.ID, To: node, Bytes: controlBytes,
-				Payload: joinScan{
-					QueryID: qid, Relation: rel, Attr: attr, Phase: phase,
-					Pred: pred, Local: !res.Repartitioned,
-					Targets: targets, Scanners: scanners, ReplyTo: h.ID,
-				},
-			})
-		}
-	}
-	for i := 0; i < targets; i++ {
-		d := waitFor[joinDone](p, mb)
-		res.Matches += d.Matches
-		res.BuildTuples += d.Built
-		res.ProbeTuples += d.Probed
-	}
-	res.ProcessorsUsed = targets
-	res.Completed = p.Now()
-	h.QueriesRun++
-	return res
-}
-
-// minMaxInt64 is the unbounded scan range.
-func minMaxInt64() (int64, int64) {
-	return -1 << 62, 1<<62 - 1
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -94,9 +95,14 @@ func (r *migrateRig) cutover() {
 
 func (r *migrateRig) execute(t *testing.T, pred core.Predicate) QueryResult {
 	t.Helper()
+	return r.submit(t, selectOf(r.rel.Name, pred))
+}
+
+func (r *migrateRig) submit(t *testing.T, n *plan.Node) QueryResult {
+	t.Helper()
 	var res QueryResult
 	r.eng.Spawn("probe", func(p *sim.Proc) {
-		res = r.host.Submit(p, selectOf(r.rel.Name, pred))
+		res = r.host.Submit(p, n)
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
@@ -175,5 +181,20 @@ func TestDualReadRejectsTwoGenerationsBack(t *testing.T) {
 	res := r.execute(t, bothNodes)
 	if res.Err == nil {
 		t.Fatalf("epoch-0 query against gen-2 nodes: res = %+v, want an error", res)
+	}
+}
+
+// A join submitted after a decommission-style cutover runs its scans and
+// operators on the slots' new physical homes — node 0 holds nothing any
+// more — and still finds every match.
+func TestJoinAfterCutoverUsesNewTopology(t *testing.T) {
+	r := newMigrateRig(t)
+	r.eng.Schedule(0, func() { r.cutover() })
+	res := r.submit(t, plan.NewJoin(storage.Unique1, plan.NewScan(r.rel.Name), plan.NewScan(r.rel.Name)))
+	if want := naiveJoinCount(r.rel, r.rel, storage.Unique1, storage.Unique1, nil, nil); res.Tuples != want {
+		t.Fatalf("join matches = %d (outcome %v, err %v), want %d", res.Tuples, res.Outcome, res.Err, want)
+	}
+	if served := servedNodeOfSlot(res); served[0] != 1 || served[1] != 2 {
+		t.Fatalf("ServedBy slot->node = %v, want map[0:1 1:2] after cutover", served)
 	}
 }

@@ -309,24 +309,11 @@ func (n *Node) Restart() {
 	n.net.Inbox(n.ID).SetDrop(false)
 }
 
-// Down reports whether the node is currently crashed.
-func (n *Node) Down() bool { return n.down }
-
 // ResetStats clears the node's operator counters (post warm-up). The
 // registry counters are reset wholesale by the caller via Registry.Reset.
 func (n *Node) ResetStats() {
 	n.OpsExecuted, n.TuplesShipped = 0, 0
 	n.SharedPagesRequested, n.SharedPagesRead = 0, 0
-}
-
-// fragment panics if the node lacks the relation — the routing layer sent
-// work to the wrong place.
-func (n *Node) fragment(relation string) *storage.Fragment {
-	f := n.frags[relation]
-	if f == nil {
-		panic(fmt.Sprintf("exec: node %d has no fragment of relation %q", n.ID, relation))
-	}
-	return f
 }
 
 // fragmentFor resolves the primary or backup fragment for a request,
@@ -442,9 +429,9 @@ func (n *Node) Start() {
 				n.eng.Spawn(fmt.Sprintf("node%d.joinscan.q%d", n.ID, req.QueryID),
 					func(op *sim.Proc) { n.runJoinScan(op, req) })
 			case joinBatch:
-				n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, req)
+				n.routeJoinMsg(req.joinOperator, req)
 			case joinEnd:
-				n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, req)
+				n.routeJoinMsg(req.joinOperator, req)
 			case nil:
 				// Fragment of a multi-packet message; the final fragment
 				// carries the payload.
@@ -686,21 +673,4 @@ func (n *Node) chargeAccess(p *sim.Proc, acc storage.Access, h *obs.FragHeat) er
 	}
 	n.pagesC.Add(int64(len(acc.IndexPages) + len(acc.DataPages)))
 	return nil
-}
-
-// mustAccess and mustCharge adapt the error-returning storage and buffer
-// APIs for the aggregate/join paths, which do not participate in degraded
-// execution: an injected fault there fails the whole run (the engine turns
-// the panic into a run error) instead of a single query.
-func mustAccess(acc storage.Access, err error) storage.Access {
-	if err != nil {
-		panic(err)
-	}
-	return acc
-}
-
-func (n *Node) mustCharge(p *sim.Proc, acc storage.Access, h *obs.FragHeat) {
-	if err := n.chargeAccess(p, acc, h); err != nil {
-		panic(err)
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -82,9 +83,10 @@ type call struct {
 	done      bool
 }
 
-// collector is the Scheduler's state for one selection query: it drives
-// the query's logical calls — BERD's auxiliary lookups, then one operator
-// per participant — to completion under the retry policy: per-wait
+// collector is the Scheduler's state for one query of any plan shape: it
+// drives the query's logical calls — BERD's auxiliary lookups, then one
+// selection or partial-aggregate operator per participant; or one
+// operator per join slot — to completion under the retry policy: per-wait
 // timeouts, bounded jittered exponential backoff, chained-replica
 // rerouting, and at-most-once accounting (stale or duplicated replies are
 // dropped by attempt id). It is the scheduler's only wait loop; under the
@@ -113,8 +115,28 @@ type collector struct {
 	qspan      sim.Span
 	res        QueryResult
 
+	// agg is the Aggregate root of an aggregate plan (nil otherwise): its
+	// operators return partials that accept folds into res.Value.
+	agg *plan.Node
+	// join is set for a Join plan: its calls are join-operator slots.
+	join *joinPlan
+
 	aux   bool   // the current phase dispatches auxiliary lookups
 	calls []call // the current phase's logical calls
+}
+
+// joinInput is one side of a join: the relation, its join attribute and
+// the predicate its scans apply (the full domain for a bare scan).
+type joinInput struct {
+	relation string
+	attr     int
+	pred     core.Predicate
+}
+
+// joinPlan is a Join plan's dispatch state.
+type joinPlan struct {
+	build, probe joinInput
+	local        bool // core.CoLocated: no repartitioning
 }
 
 // backupOf returns the slot whose node replicates c's fragment, or -1.
@@ -176,7 +198,7 @@ func (col *collector) dispatch(c *call) {
 	case col.aux:
 		payload = auxLookup{QueryID: col.qid, Relation: col.relation, Pred: col.pred,
 			ReplyTo: h.ID, Attempt: c.attempt, Backup: c.useBackup, Epoch: col.epoch}
-	case h.Shared != nil && !col.fetchByTID:
+	case h.Shared != nil && !col.fetchByTID && col.agg == nil:
 		h.Shared.enqueue(c.target, col.relation, col.pred, col.kind, col.qid, c.attempt, c.useBackup, col.epoch)
 		return
 	default:
@@ -187,8 +209,44 @@ func (col *collector) dispatch(c *call) {
 			op.TIDs = col.tidsByProc[c.primary]
 		}
 		payload = op
+		if col.agg != nil {
+			payload = aggOp{startOp: op, Fn: col.agg.Fn, Attr: col.agg.Attr}
+		}
 	}
 	h.net.Send(col.p, nil, hw.Message{From: h.ID, To: c.target, Bytes: controlBytes, Payload: payload})
+}
+
+// dispatchJoin starts a join: it pins every operator slot to its physical
+// node in the query's captured topology, then sends the build input's
+// scans and the probe input's scans, one per slot in slot order. Join
+// calls have no replica: an unavailable node fails the query.
+func (col *collector) dispatchJoin() error {
+	h, j := col.h, col.join
+	targets := make([]joinTarget, len(col.calls))
+	for i := range col.calls {
+		c := &col.calls[i]
+		c.target = physOf(col.topo, c.primary)
+		if !col.d.available(c.target) {
+			return fmt.Errorf("exec: join operator node %d unavailable", c.target)
+		}
+		h.nextAttempt++
+		c.attempt = h.nextAttempt
+		col.used[c.target] = true
+		targets[i] = joinTarget{Node: c.target, Attempt: c.attempt}
+	}
+	for phase, in := range [...]joinInput{phaseBuild: j.build, phaseProbe: j.probe} {
+		for slot, tgt := range targets {
+			h.net.Send(col.p, nil, hw.Message{
+				From: h.ID, To: tgt.Node, Bytes: controlBytes,
+				Payload: joinScan{
+					QueryID: col.qid, Relation: in.relation, Attr: in.attr,
+					Phase: joinPhase(phase), Pred: in.pred, Local: j.local,
+					Slot: slot, Targets: targets, ReplyTo: h.ID, Epoch: col.epoch,
+				},
+			})
+		}
+	}
+	return nil
 }
 
 // accept folds a matched success reply into the query result.
@@ -202,11 +260,23 @@ func (col *collector) accept(c *call, msg any) {
 			col.tidsByProc[proc] = append(col.tidsByProc[proc], tids...)
 		}
 	case opResult:
-		col.res.Tuples += r.Tuples
-		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
-			Fragment: c.primary, Node: c.target, Backup: c.useBackup, Tuples: r.Tuples,
-		})
+		col.served(c, r.Tuples)
+	case aggPartial:
+		if r.Tuples > 0 {
+			col.res.Value = fold(col.agg.Fn, col.res.Value, r.Value, col.res.Tuples == 0)
+		}
+		col.served(c, r.Tuples)
+	case joinDone:
+		col.served(c, r.Matches)
 	}
+}
+
+// served books tuples from c's live attempt into the result.
+func (col *collector) served(c *call, tuples int) {
+	col.res.Tuples += tuples
+	col.res.ServedBy = append(col.res.ServedBy, ServedOp{
+		Fragment: c.primary, Node: c.target, Backup: c.useBackup, Tuples: tuples,
+	})
 }
 
 // live returns the outstanding call whose live attempt is id, or nil for a
@@ -259,20 +329,32 @@ func (col *collector) orphan() {
 }
 
 // run dispatches one call per primary slot (auxiliary lookups when aux is
-// set, operators otherwise) and collects replies until all complete, the
-// deadline passes, or a call runs out of options.
+// set, operators otherwise; a join's slots when join is set) and collects
+// replies until all complete, the deadline passes, or a call runs out of
+// options. A join's scans feed operators on other nodes, so a lost or
+// failed one cannot be replayed on its own: a join waits under the query
+// deadline only, and its first operator error fails the query.
 func (col *collector) run(aux bool, primaries []int) (Outcome, error) {
 	col.aux = aux
 	col.calls = make([]call, len(primaries))
 	for i, slot := range primaries {
-		c := &col.calls[i]
-		*c = call{primary: slot, target: -1}
-		if !col.send(c) {
-			return OutcomeFailed, fmt.Errorf("exec: no available replica of node %d's fragment", c.primary)
+		col.calls[i] = call{primary: slot, target: -1}
+	}
+	opTimeout := col.d.Policy.OpTimeout
+	if col.join != nil {
+		opTimeout = 0
+		if err := col.dispatchJoin(); err != nil {
+			return OutcomeFailed, err
+		}
+	} else {
+		for i := range col.calls {
+			if c := &col.calls[i]; !col.send(c) {
+				return OutcomeFailed, fmt.Errorf("exec: no available replica of node %d's fragment", c.primary)
+			}
 		}
 	}
 	for remaining := len(col.calls); remaining > 0; {
-		wait := col.d.Policy.OpTimeout
+		wait := opTimeout
 		if col.deadline > 0 {
 			left := sim.Duration(col.deadline - col.p.Now())
 			if left <= 0 {
@@ -310,6 +392,9 @@ func (col *collector) run(aux bool, primaries []int) (Outcome, error) {
 		switch r := msg.(type) {
 		case opError:
 			c := col.live(r.Attempt)
+			if col.join != nil {
+				return OutcomeFailed, fmt.Errorf("exec: join scan on node %d failed: %s", r.Node, r.Msg)
+			}
 			if c == nil {
 				col.orphan() // stale attempt or duplicated error
 				continue
@@ -337,9 +422,13 @@ func (col *collector) run(aux bool, primaries []int) (Outcome, error) {
 }
 
 // finish stamps the query's outcome and completion, books it in the host's
-// statistics and closes its trace span.
+// statistics, closes its trace span and retires its mailbox: later replies
+// for it are orphans.
 func (col *collector) finish(outcome Outcome, err error) QueryResult {
 	h, res := col.h, &col.res
+	if outcome == OutcomeOK && res.Retries > 0 {
+		outcome = OutcomeRetried
+	}
 	res.Outcome = outcome
 	res.Err = err
 	res.ProcessorsUsed = len(col.used)
@@ -357,56 +446,83 @@ func (col *collector) finish(outcome Outcome, err error) QueryResult {
 		}
 		col.qspan.End(obs.NoNode, "query", fmt.Sprintf("q%d %s", col.qid, col.relation), col.qid, detail)
 	}
+	delete(h.pending, col.qid)
+	col.p.SetQID(0)
 	return *res
 }
 
-// runSelection is the Scheduler for one selection: plan and localize via
-// the placement, run BERD's auxiliary step when the route calls for it,
-// start (or batch) one operator per participant, and collect the results
-// under the host's retry policy — the zero policy when Degraded is nil. It
-// blocks for the query's full lifetime.
-func (h *Host) runSelection(p *sim.Proc, relation string, pred core.Predicate, kind AccessKind) QueryResult {
-	placement, ok := h.placements[relation]
+// placement returns a registered relation's placement.
+func (h *Host) placement(relation string) core.Placement {
+	pl, ok := h.placements[relation]
 	if !ok {
 		panic(fmt.Sprintf("exec: unknown relation %q", relation))
 	}
+	return pl
+}
+
+// begin opens a query: a fresh id and mailbox registered with the
+// dispatcher, and the routing generation captured once — every dispatch
+// of the query, retries and the BERD second step included, uses the same
+// topology and epoch, even if a rebalance cutover lands mid-query. It then
+// charges the Query Manager's parse-and-plan delay (coordination delay,
+// not CPU contention — see the Host doc comment).
+func (h *Host) begin(p *sim.Proc, relation string, pred core.Predicate) collector {
 	d := h.Degraded
 	if d == nil {
 		d = &faultFree
 	}
 	h.nextQID++
 	qid := h.nextQID
-	// Capture the routing generation once: every dispatch of this query —
-	// retries and the BERD second step included — uses the same topology
-	// and epoch, even if a rebalance cutover lands mid-query.
 	col := collector{
-		h: h, d: d, p: p, qid: qid, relation: relation, pred: pred, kind: kind,
+		h: h, d: d, p: p, qid: qid, relation: relation, pred: pred,
 		topo: h.topo, epoch: h.epoch, used: map[int]bool{},
 		qspan: h.eng.StartSpan(),
 		res:   QueryResult{ID: qid, Pred: pred, Submitted: p.Now()},
 	}
 	col.mb = sim.NewMailbox[any](h.eng, fmt.Sprintf("host.q%d", qid))
 	h.pending[qid] = col.mb
-	defer delete(h.pending, qid)
 	p.SetQID(qid)
-	defer p.SetQID(0)
-
-	// Query Manager: parse and plan (coordination delay, not CPU
-	// contention — see the Host doc comment).
 	p.Hold(h.params.InstrTime(h.costs.PlanInstr))
+	return col
+}
+
+// armDeadline starts the query's end-to-end budget, if the policy has one.
+func (col *collector) armDeadline() {
+	if d := col.d.Policy.QueryDeadline; d > 0 {
+		col.deadline = col.p.Now() + sim.Time(d)
+	}
+}
+
+// runSelection is the Scheduler for a selection, or for an aggregate (agg
+// non-nil) over one: plan and localize via the placement, run BERD's
+// auxiliary step when the route calls for it, start (or batch) one
+// operator per participant, and collect the results — tuples, or partials
+// folded into the aggregate's value — under the host's retry policy (the
+// zero policy when Degraded is nil). It blocks for the query's full
+// lifetime.
+func (h *Host) runSelection(p *sim.Proc, relation string, pred core.Predicate, kind AccessKind, agg *plan.Node) QueryResult {
+	placement := h.placement(relation)
+	col := h.begin(p, relation, pred)
+	col.kind, col.agg = kind, agg
+	qid := col.qid
 	route := placement.Route(pred)
 	if route.EntriesSearched > 0 {
 		// Catalog directory search: CS per examined entry (Equation 1's
 		// search term).
 		p.Hold(sim.Milliseconds(h.costs.CSms * float64(route.EntriesSearched)))
 	}
-	if d.Policy.QueryDeadline > 0 {
-		col.deadline = p.Now() + sim.Time(d.Policy.QueryDeadline)
-	}
+	col.armDeadline()
 
 	// BERD two-step: consult the auxiliary relation first.
 	participants := route.Participants
-	if len(route.Aux) > 0 {
+	if len(route.Aux) > 0 && agg != nil {
+		// Aggregation needs only the owning processors; without running
+		// the auxiliary step we conservatively ask everyone.
+		participants = make([]int, placement.Processors())
+		for i := range participants {
+			participants[i] = i
+		}
+	} else if len(route.Aux) > 0 {
 		auxSpan := h.eng.StartSpan()
 		col.res.AuxProcessors = len(route.Aux)
 		col.tidsByProc = make(map[int][]int64)
@@ -428,13 +544,40 @@ func (h *Host) runSelection(p *sim.Proc, relation string, pred core.Predicate, k
 	// Scheduler: one operator per participant, collected under the policy.
 	opSpan := h.eng.StartSpan()
 	outcome, err := col.run(false, participants)
-	if outcome == OutcomeOK && col.res.Retries > 0 {
-		outcome = OutcomeRetried
-	}
 	if opSpan.Active() {
 		opSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d operator phase", qid), qid,
 			fmt.Sprintf("%d participants", len(participants)))
 	}
+	return col.finish(outcome, err)
+}
+
+// runJoin is the Scheduler for a Join plan: every slot of the build
+// relation's placement scans its fragment of both inputs, and one join
+// operator per slot builds and probes, all under the query's captured
+// topology and epoch. Both inputs must be declustered over the same slots;
+// core.CoLocated inputs join node-locally, others repartition through the
+// split table. The inputs' predicates filter the scans (their access
+// methods do not apply: a join scans whole fragments).
+func (h *Host) runJoin(p *sim.Proc, n *plan.Node) QueryResult {
+	buildRel, buildPred, _ := h.resolveSelection(n.Inputs[0])
+	probeRel, probePred, _ := h.resolveSelection(n.Inputs[1])
+	build, probe := h.placement(buildRel), h.placement(probeRel)
+	slots := make([]int, build.Processors())
+	if probe.Processors() != len(slots) {
+		panic(fmt.Sprintf("exec: join inputs declustered over %d and %d processors",
+			len(slots), probe.Processors()))
+	}
+	for i := range slots {
+		slots[i] = i
+	}
+	col := h.begin(p, buildRel+" join "+probeRel, core.Predicate{})
+	col.join = &joinPlan{
+		build: joinInput{relation: buildRel, attr: n.Attr, pred: buildPred},
+		probe: joinInput{relation: probeRel, attr: n.Attr, pred: probePred},
+		local: core.CoLocated(build, probe, n.Attr),
+	}
+	col.armDeadline()
+	outcome, err := col.run(false, slots)
 	return col.finish(outcome, err)
 }
 

@@ -214,30 +214,34 @@ func TestSubmitFilterIntersection(t *testing.T) {
 }
 
 // TestSubmitAggregatePlan: an Aggregate-rooted plan runs the partial
-// aggregation protocol and carries the value in QueryResult.Value.
+// aggregation protocol over exactly the selection its input describes —
+// same matched tuples, same processors — and carries the value in
+// QueryResult.Value.
 func TestSubmitAggregatePlan(t *testing.T) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
 	pl := core.NewRangeForRelation(rel, storage.Unique1, 2)
 	pred := core.Predicate{Attr: storage.Unique2, Lo: 0, Hi: 99}
+	input := func() *plan.Node { return plan.NewIndexScan(rel.Name, pred, AccessClustered) }
 
 	r1 := newRig(t, pl)
-	var want AggResult
+	var want QueryResult
 	r1.eng.Spawn("probe", func(p *sim.Proc) {
-		want = r1.host.ExecuteAggregate(p, AggSpec{
-			Relation: rel.Name, Kind: AggSum, Attr: storage.Unique1,
-			Pred: pred, Access: AccessClustered,
-		})
+		want = r1.host.Submit(p, input())
 		r1.eng.Stop()
 	})
 	if err := r1.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
+	for _, tup := range rel.Tuples {
+		if v := tup.Attrs[storage.Unique2]; v >= pred.Lo && v <= pred.Hi {
+			want.Value += tup.Attrs[storage.Unique1]
+		}
+	}
 
 	r2 := newRig(t, pl)
 	var got QueryResult
 	r2.eng.Spawn("probe", func(p *sim.Proc) {
-		got = r2.host.Submit(p, plan.NewAggregate(AggSum, storage.Unique1,
-			plan.NewIndexScan(rel.Name, pred, AccessClustered)))
+		got = r2.host.Submit(p, plan.NewAggregate(plan.AggSum, storage.Unique1, input()))
 		r2.eng.Stop()
 	})
 	if err := r2.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
@@ -245,7 +249,7 @@ func TestSubmitAggregatePlan(t *testing.T) {
 	}
 	if got.Value != want.Value || got.Tuples != want.Tuples ||
 		got.ProcessorsUsed != want.ProcessorsUsed {
-		t.Fatalf("aggregate plan %+v != direct %+v", got, want)
+		t.Fatalf("aggregate plan %+v != selection %+v", got, want)
 	}
 	if got.Value == 0 {
 		t.Fatal("sum over a hundred tuples cannot be zero")

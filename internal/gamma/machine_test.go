@@ -527,11 +527,12 @@ func TestMultiRelationMachineAndJoin(t *testing.T) {
 	cfg := smallConfig()
 	r := storage.GenerateWisconsin(storage.GenSpec{Name: "stock", Cardinality: 2000, Seed: 11})
 	s := storage.GenerateWisconsin(storage.GenSpec{Name: "trades", Cardinality: 800, Seed: 12})
-	m, err := Build(r, core.NewHash(storage.Unique1, 8), cfg)
+	stockPl, tradesPl := core.NewHash(storage.Unique1, 8), core.NewHash(storage.Unique1, 8)
+	m, err := Build(r, stockPl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddRelation(s, core.NewHash(storage.Unique1, 8)); err != nil {
+	if err := m.AddRelation(s, tradesPl); err != nil {
 		t.Fatal(err)
 	}
 	// Both relations registered in the catalog.
@@ -554,22 +555,19 @@ func TestMultiRelationMachineAndJoin(t *testing.T) {
 	}
 	// An equi-join between them (hash-on-key: co-located).
 	m.Reset()
-	var jr exec.JoinResult
+	var jr exec.QueryResult
 	m.Eng.Spawn("joiner", func(p *sim.Proc) {
-		jr = m.Host.ExecuteJoin(p, exec.JoinSpec{
-			BuildRelation: "trades", BuildAttr: storage.Unique1,
-			ProbeRelation: "stock", ProbeAttr: storage.Unique1,
-		})
+		jr = m.Host.Submit(p, plan.NewJoin(storage.Unique1, plan.NewScan("trades"), plan.NewScan("stock")))
 		m.Eng.Stop()
 	})
 	if err := m.Eng.RunUntil(sim.Time(10 * 60 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
 	// unique1 values 0..799 of trades each match exactly one stock tuple.
-	if jr.Matches != 800 {
-		t.Fatalf("join matches = %d, want 800", jr.Matches)
+	if jr.Tuples != 800 {
+		t.Fatalf("join matches = %d, want 800", jr.Tuples)
 	}
-	if jr.Repartitioned {
+	if !core.CoLocated(tradesPl, stockPl, storage.Unique1) {
 		t.Fatal("hash-on-key join should be co-located")
 	}
 }

@@ -193,3 +193,13 @@ func TestCompileSelection(t *testing.T) {
 		t.Fatal("join compiled as selection")
 	}
 }
+
+func TestAggFnString(t *testing.T) {
+	for fn, want := range map[AggFn]string{
+		AggCount: "count", AggSum: "sum", AggMin: "min", AggMax: "max", AggFn(9): "unknown",
+	} {
+		if fn.String() != want {
+			t.Fatalf("AggFn(%d) = %q", fn, fn.String())
+		}
+	}
+}
