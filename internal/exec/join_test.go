@@ -313,3 +313,38 @@ func TestAggregateEmptyRange(t *testing.T) {
 		t.Fatalf("empty aggregate = %d over %d tuples", res.Value, res.Tuples)
 	}
 }
+
+// A BERD aggregate on the auxiliary attribute runs the two-step protocol
+// like a selection: step one names the home processors of the qualifying
+// tuples and only those compute partials (predicate re-executed, or TIDs
+// fetched under BERDFetchByTID).
+func TestBERDAggregateRunsAuxiliaryStep(t *testing.T) {
+	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 400, Seed: 9})
+	pred := core.Predicate{Attr: storage.Unique2, Lo: 120, Hi: 121}
+	var want int64
+	for _, tup := range rel.Tuples {
+		if v := tup.Attrs[storage.Unique2]; v >= pred.Lo && v <= pred.Hi {
+			want += tup.Attrs[storage.Unique1]
+		}
+	}
+	for _, byTID := range []bool{false, true} {
+		eng, h := newScheduleRig(t, rel,
+			core.NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique2}, scheduleNodes))
+		h.BERDFetchByTID = byTID
+		var res QueryResult
+		eng.Spawn("agg", func(p *sim.Proc) {
+			res = h.Submit(p, plan.NewAggregate(plan.AggSum, storage.Unique1,
+				plan.Select(rel.Name, pred, chooser(pred))))
+		})
+		if err := eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if res.Value != want || res.Tuples != 2 {
+			t.Fatalf("byTID=%v: sum = %d over %d tuples, want %d over 2", byTID, res.Value, res.Tuples, want)
+		}
+		if res.AuxProcessors != 1 || res.ProcessorsUsed > 3 {
+			t.Fatalf("byTID=%v: %d processors (%d aux), want the aux node plus at most the 2 homes",
+				byTID, res.ProcessorsUsed, res.AuxProcessors)
+		}
+	}
+}

@@ -515,14 +515,7 @@ func (h *Host) runSelection(p *sim.Proc, relation string, pred core.Predicate, k
 
 	// BERD two-step: consult the auxiliary relation first.
 	participants := route.Participants
-	if len(route.Aux) > 0 && agg != nil {
-		// Aggregation needs only the owning processors; without running
-		// the auxiliary step we conservatively ask everyone.
-		participants = make([]int, placement.Processors())
-		for i := range participants {
-			participants[i] = i
-		}
-	} else if len(route.Aux) > 0 {
+	if len(route.Aux) > 0 {
 		auxSpan := h.eng.StartSpan()
 		col.res.AuxProcessors = len(route.Aux)
 		col.tidsByProc = make(map[int][]int64)
