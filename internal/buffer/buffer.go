@@ -27,7 +27,7 @@ type Pool struct {
 	resident map[int]*list.Element // physical page -> LRU element
 	inflight map[int]*pendingRead  // physical page -> pending read completion
 
-	hits, misses, evictions int64
+	hits, misses int64
 
 	// Registry handles (nil-safe when metrics are disabled).
 	hitsC, missesC, evictionsC *obs.Counter
@@ -129,7 +129,6 @@ func (b *Pool) insert(physPage int) {
 		oldest := b.lru.Back()
 		b.lru.Remove(oldest)
 		delete(b.resident, oldest.Value.(int))
-		b.evictions++
 		b.evictionsC.Inc()
 	}
 }
@@ -158,9 +157,6 @@ func (b *Pool) Hits() int64 { return b.hits }
 // Misses reports buffer misses (actual disk reads issued).
 func (b *Pool) Misses() int64 { return b.misses }
 
-// Evictions reports pages evicted to stay within capacity.
-func (b *Pool) Evictions() int64 { return b.evictions }
-
 // HitRate reports hits / (hits + misses), or 0 before any access.
 func (b *Pool) HitRate() float64 {
 	total := b.hits + b.misses
@@ -173,7 +169,7 @@ func (b *Pool) HitRate() float64 {
 // ResetStats clears hit/miss/eviction counters (post warm-up) without
 // evicting pages.
 func (b *Pool) ResetStats() {
-	b.hits, b.misses, b.evictions = 0, 0, 0
+	b.hits, b.misses = 0, 0
 	b.hitsC.Reset()
 	b.missesC.Reset()
 	b.evictionsC.Reset()

@@ -135,8 +135,8 @@ type joinInput struct {
 
 // joinPlan is a Join plan's dispatch state.
 type joinPlan struct {
-	build, probe joinInput
-	local        bool // core.CoLocated: no repartitioning
+	inputs [2]joinInput // indexed by joinPhase: build, then probe
+	local  bool         // core.CoLocated: no repartitioning
 }
 
 // backupOf returns the slot whose node replicates c's fragment, or -1.
@@ -234,7 +234,7 @@ func (col *collector) dispatchJoin() error {
 		col.used[c.target] = true
 		targets[i] = joinTarget{Node: c.target, Attempt: c.attempt}
 	}
-	for phase, in := range [...]joinInput{phaseBuild: j.build, phaseProbe: j.probe} {
+	for phase, in := range j.inputs {
 		for slot, tgt := range targets {
 			h.net.Send(col.p, nil, hw.Message{
 				From: h.ID, To: tgt.Node, Bytes: controlBytes,
@@ -391,10 +391,10 @@ func (col *collector) run(aux bool, primaries []int) (Outcome, error) {
 		}
 		switch r := msg.(type) {
 		case opError:
-			c := col.live(r.Attempt)
 			if col.join != nil {
 				return OutcomeFailed, fmt.Errorf("exec: join scan on node %d failed: %s", r.Node, r.Msg)
 			}
+			c := col.live(r.Attempt)
 			if c == nil {
 				col.orphan() // stale attempt or duplicated error
 				continue
@@ -565,8 +565,10 @@ func (h *Host) runJoin(p *sim.Proc, n *plan.Node) QueryResult {
 	}
 	col := h.begin(p, buildRel+" join "+probeRel, core.Predicate{})
 	col.join = &joinPlan{
-		build: joinInput{relation: buildRel, attr: n.Attr, pred: buildPred},
-		probe: joinInput{relation: probeRel, attr: n.Attr, pred: probePred},
+		inputs: [2]joinInput{
+			phaseBuild: {relation: buildRel, attr: n.Attr, pred: buildPred},
+			phaseProbe: {relation: probeRel, attr: n.Attr, pred: probePred},
+		},
 		local: core.CoLocated(build, probe, n.Attr),
 	}
 	col.armDeadline()

@@ -388,7 +388,7 @@ func (fr FigureResult) MeanProcs(strategy string) float64 {
 // Table renders the figure as "MPL x strategy -> throughput", the series
 // the paper plots.
 func (fr FigureResult) Table() *stats.Table {
-	strategies := fr.strategies()
+	strategies := strategiesOf(fr.Points)
 	headers := append([]string{"MPL"}, strategies...)
 	tb := stats.NewTable(fmt.Sprintf("Figure %s: %s — throughput (queries/second)",
 		fr.Figure.ID, fr.Figure.Title), headers...)
@@ -412,7 +412,7 @@ func (fr FigureResult) Table() *stats.Table {
 func (fr FigureResult) Chart() *stats.Chart {
 	c := stats.NewChart(fmt.Sprintf("Figure %s: %s", fr.Figure.ID, fr.Figure.Title),
 		"MPL", "queries/second")
-	for _, s := range fr.strategies() {
+	for _, s := range strategiesOf(fr.Points) {
 		var xs, ys []float64
 		for _, mpl := range fr.mpls() {
 			if tp, ok := fr.Throughput(s, mpl); ok {
@@ -479,18 +479,6 @@ func (fr FigureResult) NodeTable(strategy string, mpl int) *stats.Table {
 			u.TuplesShipped)
 	}
 	return tb
-}
-
-func (fr FigureResult) strategies() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range fr.Points {
-		if !seen[p.Strategy] {
-			seen[p.Strategy] = true
-			out = append(out, p.Strategy)
-		}
-	}
-	return out
 }
 
 func (fr FigureResult) mpls() []int {

@@ -16,19 +16,49 @@ import (
 	"repro/internal/stats"
 )
 
+// sweepPoint is one point of a figure sweep — closed-loop (Point) or
+// open-system (OpenPoint) — as the shared per-strategy reducers see it.
+type sweepPoint interface {
+	strategy() string
+	heat() *obs.HeatSnapshot
+}
+
+func (p Point) strategy() string            { return p.Strategy }
+func (p Point) heat() *obs.HeatSnapshot     { return p.Result.Heat }
+func (p OpenPoint) strategy() string        { return p.Strategy }
+func (p OpenPoint) heat() *obs.HeatSnapshot { return p.Result.Heat }
+
+// strategiesOf lists the points' strategies in first-appearance order.
+func strategiesOf[P sweepPoint](points []P) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, p := range points {
+		if s := p.strategy(); !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// strategyHeat merges the strategy's per-point heat snapshots in point
+// order. Nil when heat was not armed (or the strategy has no points).
+func strategyHeat[P sweepPoint](points []P, strategy string) *obs.HeatSnapshot {
+	var snaps []*obs.HeatSnapshot
+	topK := 0
+	for _, p := range points {
+		if h := p.heat(); p.strategy() == strategy && h != nil {
+			snaps = append(snaps, h)
+			topK = h.TopK
+		}
+	}
+	return obs.MergeHeatSnapshots(snaps, topK)
+}
+
 // StrategyHeat merges the strategy's per-point heat snapshots across the
 // MPL sweep. Nil when heat was not armed (or the strategy has no points).
 func (fr FigureResult) StrategyHeat(strategy string) *obs.HeatSnapshot {
-	var snaps []*obs.HeatSnapshot
-	topK := 0
-	for _, p := range fr.Points {
-		if p.Strategy != strategy || p.Result.Heat == nil {
-			continue
-		}
-		snaps = append(snaps, p.Result.Heat)
-		topK = p.Result.Heat.TopK
-	}
-	return obs.MergeHeatSnapshots(snaps, topK)
+	return strategyHeat(fr.Points, strategy)
 }
 
 // HeatTable renders the strategy's merged heatmap: one row per fragment
@@ -45,16 +75,7 @@ func (fr FigureResult) HeatTable(strategy string) *stats.Table {
 // StrategyHeat merges the strategy's per-λ heat snapshots across the
 // offered-load sweep. Nil when heat was not armed.
 func (fr OpenFigureResult) StrategyHeat(strategy string) *obs.HeatSnapshot {
-	var snaps []*obs.HeatSnapshot
-	topK := 0
-	for _, p := range fr.Points {
-		if p.Strategy != strategy || p.Result.Heat == nil {
-			continue
-		}
-		snaps = append(snaps, p.Result.Heat)
-		topK = p.Result.Heat.TopK
-	}
-	return obs.MergeHeatSnapshots(snaps, topK)
+	return strategyHeat(fr.Points, strategy)
 }
 
 // HeatTable renders the strategy's merged open-system heatmap. Nil when

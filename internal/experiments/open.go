@@ -138,22 +138,10 @@ func (fr OpenFigureResult) Point(strategy string, lambda float64) *gamma.ServeRe
 	return nil
 }
 
-func (fr OpenFigureResult) strategies() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range fr.Points {
-		if !seen[p.Strategy] {
-			seen[p.Strategy] = true
-			out = append(out, p.Strategy)
-		}
-	}
-	return out
-}
-
 // Table renders the sweep as "offered load x strategy -> goodput", the
 // open-system analogue of the paper's throughput figures.
 func (fr OpenFigureResult) Table() *stats.Table {
-	strategies := fr.strategies()
+	strategies := strategiesOf(fr.Points)
 	headers := append([]string{"offered q/s"}, strategies...)
 	tb := stats.NewTable(fmt.Sprintf("Figure %s (open, %s arrivals): %s — goodput (queries/second within %.0fms SLO)",
 		fr.Figure.ID, fr.Open.Arrival, fr.Figure.Title, fr.Open.SLOms), headers...)
@@ -215,7 +203,7 @@ type StrategySummary struct {
 // Summaries computes the per-strategy serving summary in figure order.
 func (fr OpenFigureResult) Summaries() []StrategySummary {
 	var out []StrategySummary
-	for _, s := range fr.strategies() {
+	for _, s := range strategiesOf(fr.Points) {
 		sum := StrategySummary{Strategy: s}
 		for _, p := range fr.Points {
 			if p.Strategy != s {
@@ -269,7 +257,7 @@ func (fr OpenFigureResult) HasTimeSeries() bool {
 // warm at different absolute instants, so relative time is the comparable
 // axis), one column per strategy at the given offered load.
 func (fr OpenFigureResult) timeTable(title, series string, lambda float64, format string) *stats.Table {
-	strategies := fr.strategies()
+	strategies := strategiesOf(fr.Points)
 	headers := append([]string{"t (ms)"}, strategies...)
 	tb := stats.NewTable(title, headers...)
 	cols := make([]*obs.SeriesData, len(strategies))

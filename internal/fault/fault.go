@@ -175,12 +175,6 @@ func NewView(nodes int) *View {
 // Nodes reports the machine size the view covers.
 func (v *View) Nodes() int { return len(v.diskOK) }
 
-// DiskOK reports whether the node's disk is believed healthy.
-func (v *View) DiskOK(node int) bool { return v.diskOK[node] }
-
-// NodeUp reports whether the node itself is believed up.
-func (v *View) NodeUp(node int) bool { return v.nodeUp[node] }
-
 // Available reports whether the node can serve fragment requests: it is up
 // and its disk works.
 func (v *View) Available(node int) bool { return v.nodeUp[node] && v.diskOK[node] }

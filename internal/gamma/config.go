@@ -49,16 +49,6 @@ func WithChainedReplicas() Option {
 	return func(c *Config) { c.ChainedReplicas = true }
 }
 
-// WithMetrics attaches an obs.Registry to the engine.
-func WithMetrics() Option {
-	return func(c *Config) { c.Metrics = true }
-}
-
-// WithSeed sets the machine seed.
-func WithSeed(seed int64) Option {
-	return func(c *Config) { c.Seed = seed }
-}
-
 // With returns a copy of the config with the options applied.
 func (c Config) With(opts ...Option) Config {
 	for _, o := range opts {

@@ -144,10 +144,11 @@ func servedFragments(m *Machine) [][2]*storage.Fragment {
 
 // Storage is laid out once per machine: the nodes every later run builds
 // serve the very fragments Build laid out, not re-laid copies. (Elastic
-// runs end on a new generation, and a disk killed mid-load fails
-// SimulateLoad; the elastic test below covers their reruns.)
+// runs end on a new generation; the elastic test below covers their
+// reruns.)
 func TestLayoutBuiltOnce(t *testing.T) {
-	static := map[string]bool{"range": true, "berd": true, "chained": true, "heat-telemetry": true}
+	static := map[string]bool{"range": true, "berd": true, "chained": true, "chained-faults": true,
+		"heat-telemetry": true}
 	for _, c := range layoutCases() {
 		if !static[c.name] {
 			continue

@@ -37,9 +37,14 @@ func (r LoadResult) String() string {
 }
 
 // SimulateLoad measures the declustering cost of this machine's placement.
-// It resets the machine afterwards so subsequent Runs start clean.
+// Loading precedes every run, so it is simulated without the run's fault
+// and membership schedules. It resets the machine afterwards so subsequent
+// Runs start clean.
 func (m *Machine) SimulateLoad() (LoadResult, error) {
+	faults, elastic := m.Cfg.Faults, m.Cfg.Elastic
+	m.Cfg.Faults, m.Cfg.Elastic = nil, nil
 	m.Reset()
+	m.Cfg.Faults, m.Cfg.Elastic = faults, elastic
 	cfg := m.Cfg
 	eng := m.Eng
 	params := cfg.HW

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/plan"
+	"repro/internal/rebalance"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -520,6 +522,54 @@ func TestSimulateLoad(t *testing.T) {
 	table := LoadTable(results).String()
 	if !strings.Contains(table, "berd") || !strings.Contains(table, "scan passes") {
 		t.Fatalf("load table malformed:\n%s", table)
+	}
+}
+
+// The load precedes every run, so a run's fault schedule — here a disk
+// failing 5ms in, well inside the load — must not reach it: a chained
+// machine with faults loads exactly like the same machine without them.
+func TestSimulateLoadIgnoresRunFaults(t *testing.T) {
+	rel := smallRelation(t, 0)
+	cfg := smallConfig()
+	cfg.ChainedReplicas = true
+	want, err := buildBERD(t, rel, cfg).SimulateLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &fault.Spec{Events: []fault.Event{{At: 5 * sim.Millisecond, Kind: fault.DiskFail, Node: 0}}}
+	m := buildBERD(t, rel, cfg)
+	got, err := m.SimulateLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("load with run faults %+v, without %+v", got, want)
+	}
+	if m.Injector == nil {
+		t.Fatal("SimulateLoad left the machine without its fault injector for the next run")
+	}
+}
+
+// Nor does the run's membership schedule: a join due mid-load and one due
+// long after it leave the same load cost. (An armed controller waiting for
+// a later join would keep the engine running to the simulation bound,
+// which the load would report as its elapsed time.)
+func TestSimulateLoadIgnoresElasticSchedule(t *testing.T) {
+	rel := elasticRelation(t)
+	var loads []LoadResult
+	for _, at := range []sim.Duration{100 * sim.Millisecond, 10 * 3600 * sim.Second} {
+		m := buildRange(t, rel, elasticConfig(rebalance.Event{At: at, Kind: rebalance.Join}))
+		res, err := m.SimulateLoad()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Rebalancer == nil {
+			t.Fatal("SimulateLoad left the machine without its rebalance controller for the next run")
+		}
+		loads = append(loads, res)
+	}
+	if loads[0] != loads[1] {
+		t.Fatalf("load depends on the elastic schedule: %+v vs %+v", loads[0], loads[1])
 	}
 }
 

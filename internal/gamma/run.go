@@ -65,9 +65,6 @@ type Outcomes struct {
 // Succeeded reports the queries that produced full results.
 func (o Outcomes) Succeeded() int { return o.OK + o.Retried }
 
-// Total reports all completions, including abandoned queries.
-func (o Outcomes) Total() int { return o.OK + o.Retried + o.TimedOut + o.Failed }
-
 // String renders the tally in the fixed order the CI smoke greps for.
 func (o Outcomes) String() string {
 	return fmt.Sprintf("ok=%d retried=%d timed_out=%d failed=%d",

@@ -26,8 +26,8 @@ type NIC struct {
 	rx    *sim.Mailbox[Message] // wire -> interrupt handler
 	inbox *sim.Mailbox[Message] // interrupt handler -> application
 
-	sent, received int64
-	bytesSent      int64
+	sent      int64
+	bytesSent int64
 }
 
 // Network is the fully connected interconnect of Figure 7. Node IDs are
@@ -160,7 +160,6 @@ func NewNetwork(e *sim.Engine, params Params, cpus []*CPU) *Network {
 					cost := sim.Duration(float64(n.params.MsgCost(m.Bytes)) * n.params.RecvCostFraction)
 					cpu.ExecuteTime(p, cost, PrioTransfer)
 				}
-				nic.received++
 				nic.inbox.Put(m)
 			}
 		})
@@ -237,16 +236,13 @@ func (n *Network) Inbox(node int) *sim.Mailbox[Message] { return n.nics[node].in
 // Sent reports packets transmitted by a node.
 func (n *Network) Sent(node int) int64 { return n.nics[node].sent }
 
-// Received reports messages delivered to a node's inbox path.
-func (n *Network) Received(node int) int64 { return n.nics[node].received }
-
 // BytesSent reports bytes transmitted by a node.
 func (n *Network) BytesSent(node int) int64 { return n.nics[node].bytesSent }
 
 // ResetStats clears per-node counters (post warm-up).
 func (n *Network) ResetStats() {
 	for _, nic := range n.nics {
-		nic.sent, nic.received, nic.bytesSent = 0, 0, 0
+		nic.sent, nic.bytesSent = 0, 0
 		nic.out.ResetStats()
 	}
 	n.packetsC.Reset()

@@ -92,12 +92,6 @@ func (s *Source) Exponential(mean float64) float64 {
 	return s.rnd.ExpFloat64() * mean
 }
 
-// Normal returns a normally distributed value with the given mean and
-// standard deviation.
-func (s *Source) Normal(mean, stddev float64) float64 {
-	return mean + stddev*s.rnd.NormFloat64()
-}
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.rnd.Perm(n) }
 

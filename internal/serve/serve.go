@@ -142,9 +142,6 @@ func (o *OutcomeCounts) add(out exec.Outcome) {
 	}
 }
 
-// Total sums the tallies.
-func (o OutcomeCounts) Total() int64 { return o.OK + o.Retried + o.TimedOut + o.Failed }
-
 // Result is one serving run's measured statistics (the post-warm-up
 // window only).
 type Result struct {

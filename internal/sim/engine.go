@@ -521,6 +521,3 @@ func (e *Engine) Active() int { return e.active }
 
 // Parked reports the number of processes blocked with no scheduled event.
 func (e *Engine) Parked() int { return e.parked }
-
-// Pending reports the number of scheduled events (heap and ready ring).
-func (e *Engine) Pending() int { return len(e.eheap) + e.rcount }

@@ -203,9 +203,6 @@ func (f *Facility) HandleEvent() {
 	}
 }
 
-// Busy reports whether the facility is currently serving a request.
-func (f *Facility) Busy() bool { return f.busy }
-
 // QueueLen reports the number of waiting (not in service) requests.
 func (f *Facility) QueueLen() int { return f.qlenN }
 

@@ -222,9 +222,6 @@ func (m *Mailbox[T]) Close() {
 	m.wakeAll()
 }
 
-// Closed reports whether Close has been called.
-func (m *Mailbox[T]) Closed() bool { return m.closed }
-
 // SetDrop switches the mailbox into (or out of) drop mode: while dropping,
 // Put discards messages instead of queueing them — the shape of a crashed
 // receiver whose interface is down. Entering drop mode discards the backlog
